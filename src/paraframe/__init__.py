@@ -37,7 +37,6 @@ from .hypersurface import (
     FrameCoeffs,
     Jet3,
     ModelPoint,
-    SignConvention,
     bracket_field,
     closed_form_field,
     evaluate_immersion,

@@ -13,9 +13,9 @@ domain error.  All flags can also be given in a config file of
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +24,7 @@ from .hypersurface import MODELS, DomainError, ModelPoint
 from .report import (
     classify_report,
     curvature_report,
-    format_scalar,
+    render_csv,
     render_json,
     render_sweep_csv,
     render_text,
@@ -50,7 +50,6 @@ class RunConfig:
     seed: int = 42
     tol: float = 1e-9
     fmt: str = "text"
-    parallel: bool = False
 
 
 def parse_point(text: str) -> np.ndarray:
@@ -107,7 +106,7 @@ def read_config_file(path: str) -> dict[str, str]:
     return values
 
 
-_CONFIG_KEYS = ("model", "r", "point", "grid", "samples", "seed", "tol", "format", "parallel")
+_CONFIG_KEYS = ("model", "r", "point", "grid", "samples", "seed", "tol", "format")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -132,7 +131,6 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--seed", type=int, default=None, help="sampling seed")
         cmd.add_argument("--tol", type=float, default=None, help="residual tolerance")
         cmd.add_argument("--format", choices=("json", "csv", "text"), default=None)
-        cmd.add_argument("--parallel", action="store_true", default=None)
         cmd.add_argument("--config", default=None, help="key = value config file")
     return parser
 
@@ -161,13 +159,6 @@ def make_config(args: argparse.Namespace) -> RunConfig:
         raise UsageError("--model is required (flag or config file)")
     if model not in MODELS:
         raise UsageError(f"unknown model {model!r}")
-
-    def to_bool(raw: str) -> bool:
-        if raw.lower() in ("true", "1", "yes"):
-            return True
-        if raw.lower() in ("false", "0", "no"):
-            return False
-        raise ValueError(f"expected true/false, got {raw!r}")
 
     cfg = RunConfig(command=args.command, model=model)
     r = pick(args.r, "r", float)
@@ -199,40 +190,14 @@ def make_config(args: argparse.Namespace) -> RunConfig:
         if fmt not in ("json", "csv", "text"):
             raise UsageError(f"unknown format {fmt!r}")
         cfg.fmt = fmt
-    parallel = pick(args.parallel, "parallel", to_bool)
-    if parallel is not None:
-        cfg.parallel = bool(parallel)
     return cfg
-
-
-def _flatten(obj, prefix: str = ""):
-    if isinstance(obj, dict):
-        for k, v in obj.items():
-            yield from _flatten(v, f"{prefix}.{k}" if prefix else str(k))
-    elif isinstance(obj, (list, tuple)):
-        if all(not isinstance(v, (dict, list, tuple)) for v in obj):
-            yield prefix, "[" + "; ".join(format_scalar(v) for v in obj) + "]"
-        else:
-            for n, v in enumerate(obj):
-                yield from _flatten(v, f"{prefix}[{n}]")
-    else:
-        yield prefix, format_scalar(obj)
-
-
-def _render_flat_csv(report: dict) -> str:
-    pairs = list(_flatten(report))
-    from .report import _csv_field
-
-    header = ",".join(_csv_field(k) for k, _ in pairs)
-    values = ",".join(_csv_field(v) for _, v in pairs)
-    return header + "\n" + values
 
 
 def _emit(report: dict, fmt: str) -> None:
     if fmt == "json":
         print(render_json(report))
     elif fmt == "csv":
-        print(_render_flat_csv(report))
+        print(render_csv(report))
     else:
         print(render_text(report))
 
@@ -274,21 +239,10 @@ def cmd_verify(cfg: RunConfig) -> int:
 def cmd_sweep(cfg: RunConfig) -> int:
     if cfg.grid is None:
         raise UsageError("sweep needs --grid")
-    points = [
-        np.array([a, b, c])
-        for a in cfg.grid[0]
-        for b in cfg.grid[1]
-        for c in cfg.grid[2]
+    rows = [
+        sweep_row(cfg.model, cfg.r, np.array(u), cfg.tol)
+        for u in itertools.product(*cfg.grid)
     ]
-
-    def one(u: np.ndarray) -> dict:
-        return sweep_row(cfg.model, cfg.r, u, cfg.tol)
-
-    if cfg.parallel and len(points) > 1:
-        with ThreadPoolExecutor() as pool:
-            rows = list(pool.map(one, points))
-    else:
-        rows = [one(u) for u in points]
 
     skipped = sum(1 for row in rows if row["status"] == "skipped")
     if cfg.fmt == "csv":
@@ -298,16 +252,13 @@ def cmd_sweep(cfg: RunConfig) -> int:
             "command": "sweep",
             "model": cfg.model,
             "r": cfg.r,
-            "rows": [
-                {k: v for k, v in row.items() if k != "report"} for row in rows
-            ],
+            "rows": rows,
             "skipped": skipped,
         }
         print(render_json(payload))
     else:
         for row in rows:
-            slim = {k: v for k, v in row.items() if k != "report"}
-            print(render_text(slim))
+            print(render_text(row))
             print()
     if skipped:
         print(f"warning: {skipped} grid point(s) outside the domain were skipped",

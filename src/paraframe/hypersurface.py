@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import Callable, Sequence
 
 import numpy as np
@@ -55,20 +54,6 @@ class AmbientSignature:
 
 EUCLIDEAN = AmbientSignature(1)
 LORENTZIAN = AmbientSignature(-1)
-
-
-class SignConvention(Enum):
-    """Sign rule for the orthonormalized frame vectors.
-
-    LEADING_POSITIVE makes the first nonzero coefficient of every frame
-    vector positive; it is the deterministic default for custom immersions.
-    QUADRANT_SIGNS is the same rule stated for the built-in spheres: on s1
-    it reproduces the factors sgn(sin u1), sgn(cos u1) that keep the frame
-    aligned with the coordinate directions across quadrants.
-    """
-
-    LEADING_POSITIVE = "leading_positive"
-    QUADRANT_SIGNS = "quadrant_signs"
 
 
 @dataclass(frozen=True)
@@ -286,11 +271,7 @@ def _metric_jets(tangent: list[list[TJet]], sig: AmbientSignature) -> list[list[
     return out
 
 
-def orthonormal_frame(
-    jet: Jet3,
-    sig: AmbientSignature,
-    convention: SignConvention = SignConvention.LEADING_POSITIVE,
-) -> FrameCoeffs:
+def orthonormal_frame(jet: Jet3, sig: AmbientSignature) -> FrameCoeffs:
     """Gram-Schmidt frame coefficients with their first and second partials.
 
     Orthonormalization runs in jet arithmetic on the identity coefficient
@@ -318,8 +299,8 @@ def orthonormal_frame(
             raise ValueError("degenerate tangent vectors: cannot orthonormalize")
         inv_norm = n2.sqrt().reciprocal()
         w = [w[k] * inv_norm for k in range(DIM)]
-        # both conventions flip the row so its leading coefficient is
-        # positive; for s1 this equals the quadrant sign factors.
+        # flip the row so its leading coefficient is positive; for s1 this
+        # equals the quadrant sign factors sgn(sin u1), sgn(cos u1).
         row_scale = max(abs(w[k].value) for k in range(DIM))
         for k in range(DIM):
             if abs(w[k].value) > 1e-9 * row_scale:
@@ -412,12 +393,10 @@ def bracket_field(fc: FrameCoeffs) -> StructureField:
     return StructureField(c=c, dc=dc)
 
 
-def structure_field(
-    p: ModelPoint, convention: SignConvention = SignConvention.LEADING_POSITIVE
-) -> StructureField:
+def structure_field(p: ModelPoint) -> StructureField:
     """Bracket data of the model's orthonormal frame at p, via the jet pipeline."""
     jet = immerse(p)
-    fc = orthonormal_frame(jet, p.spec.signature, convention)
+    fc = orthonormal_frame(jet, p.spec.signature)
     return bracket_field(fc)
 
 

@@ -7,6 +7,8 @@ produce byte-identical artifacts.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from . import classifier, frame, nijenhuis, tensors
@@ -25,7 +27,33 @@ REPORT_EPS = 1e-12
 # ---------------------------------------------------------------------------
 
 
-def analyze_point(p: ModelPoint, tol: float) -> dict:
+@dataclass(frozen=True)
+class PointAnalysis:
+    """Every stage of the pipeline at one point, with its identity residuals."""
+
+    structure: AprStructure
+    field: frame.StructureField
+    connection: frame.ConnectionCoeffs
+    f: np.ndarray
+    lee: classifier.LeeForms
+    decomposition: classifier.FDecomposition
+    label: classifier.ClassLabel
+    nijenhuis: np.ndarray
+    assoc_nijenhuis: np.ndarray
+    curvature: np.ndarray
+    ricci: np.ndarray
+    ricci_star: np.ndarray
+    tau: float
+    tau_star: float
+    k: tuple[float, float, float]
+    kappa: float
+    d_eta: np.ndarray
+    nabla_xi_xi: np.ndarray
+    residuals: dict[str, float]
+    status: str
+
+
+def analyze_point(p: ModelPoint, tol: float) -> PointAnalysis:
     """Run the full pipeline at one point and collect tensors and residuals."""
     jet = immerse(p)
     g_coord = induced_metric(jet, p.spec.signature)
@@ -46,12 +74,7 @@ def analyze_point(p: ModelPoint, tol: float) -> dict:
     r4 = frame.curvature(conn, sf)
     rho = tensors.contract_metric(r4)
     rho_star = tensors.contract_metric(r4, s.phi)
-    tau = tensors.trace2(rho)
-    tau_star = tensors.trace2(rho_star)
     basis = np.eye(DIM)
-    k01 = frame.sectional(r4, s.metric, basis[0], basis[1])
-    k02 = frame.sectional(r4, s.metric, basis[0], basis[2])
-    k12 = frame.sectional(r4, s.metric, basis[1], basis[2])
     kappa = p.spec.kappa(p.r)
 
     fs1, fs2 = classifier.f_symmetry_residuals(f, s)
@@ -81,27 +104,32 @@ def analyze_point(p: ModelPoint, tol: float) -> dict:
         "ricci_symmetry": tensors.symmetry_defect(rho),
         "space_form": frame.space_form_residual(r4, s.metric, kappa),
     }
-    return {
-        "point": p,
-        "structure": s,
-        "field": sf,
-        "connection": conn,
-        "f": f,
-        "lee": lee,
-        "decomposition": decomp,
-        "label": label,
-        "nijenhuis": n_f,
-        "assoc_nijenhuis": hn_f,
-        "curvature": r4,
-        "ricci": rho,
-        "ricci_star": rho_star,
-        "tau": tau,
-        "tau_star": tau_star,
-        "k": (k01, k02, k12),
-        "kappa": kappa,
-        "residuals": residuals,
-        "status": "PASS" if max(residuals.values()) <= tol else "FAIL",
-    }
+    return PointAnalysis(
+        structure=s,
+        field=sf,
+        connection=conn,
+        f=f,
+        lee=lee,
+        decomposition=decomp,
+        label=label,
+        nijenhuis=n_f,
+        assoc_nijenhuis=hn_f,
+        curvature=r4,
+        ricci=rho,
+        ricci_star=rho_star,
+        tau=tensors.trace2(rho),
+        tau_star=tensors.trace2(rho_star),
+        k=(
+            frame.sectional(r4, s.metric, basis[0], basis[1]),
+            frame.sectional(r4, s.metric, basis[0], basis[2]),
+            frame.sectional(r4, s.metric, basis[1], basis[2]),
+        ),
+        kappa=kappa,
+        d_eta=frame.d_eta(conn),
+        nabla_xi_xi=frame.nabla_xi_xi(conn),
+        residuals=residuals,
+        status="PASS" if max(residuals.values()) <= tol else "FAIL",
+    )
 
 
 def _entries(name: str, t: np.ndarray) -> dict[str, float]:
@@ -125,62 +153,34 @@ def classify_report(p: ModelPoint, tol: float) -> dict:
         "model": p.model,
         "r": p.r,
         "point": [float(x) for x in p.u],
-        "classes": _class_names(a["label"]),
-        "is_f0": a["label"].is_f0,
-        "params": a["decomposition"].params,
-        "class_residual": a["decomposition"].residual,
-        "f_components": _entries("F", a["f"]),
-        "status": a["status"],
+        "classes": _class_names(a.label),
+        "is_f0": a.label.is_f0,
+        "params": a.decomposition.params,
+        "class_residual": a.decomposition.residual,
+        "f_components": _entries("F", a.f),
+        "status": a.status,
     }
 
 
 def curvature_report(p: ModelPoint, tol: float) -> dict:
     a = analyze_point(p, tol)
-    k01, k02, k12 = a["k"]
+    k01, k02, k12 = a.k
     return {
         "command": "curvature",
         "model": p.model,
         "r": p.r,
         "point": [float(x) for x in p.u],
-        "curvature_components": _entries("R", a["curvature"]),
-        "ricci": _entries("rho", a["ricci"]),
-        "ricci_star": _entries("rho_star", a["ricci_star"]),
-        "tau": a["tau"],
-        "tau_star": a["tau_star"],
+        "curvature_components": _entries("R", a.curvature),
+        "ricci": _entries("rho", a.ricci),
+        "ricci_star": _entries("rho_star", a.ricci_star),
+        "tau": a.tau,
+        "tau_star": a.tau_star,
         "k_01": k01,
         "k_02": k02,
         "k_12": k12,
-        "kappa": a["kappa"],
-        "space_form_residual": a["residuals"]["space_form"],
-        "status": a["status"],
-    }
-
-
-def point_report(p: ModelPoint, tol: float) -> dict:
-    """The full per-point geometry report (used by sweep rows)."""
-    a = analyze_point(p, tol)
-    k01, k02, k12 = a["k"]
-    return {
-        "model": p.model,
-        "r": p.r,
-        "point": [float(x) for x in p.u],
-        "status": a["status"],
-        "classes": _class_names(a["label"]),
-        "is_f0": a["label"].is_f0,
-        "params": a["decomposition"].params,
-        "f_components": _entries("F", a["f"]),
-        "nijenhuis_components": _entries("N", a["nijenhuis"]),
-        "assoc_nijenhuis_components": _entries("NH", a["assoc_nijenhuis"]),
-        "curvature_components": _entries("R", a["curvature"]),
-        "ricci": _entries("rho", a["ricci"]),
-        "ricci_star": _entries("rho_star", a["ricci_star"]),
-        "tau": a["tau"],
-        "tau_star": a["tau_star"],
-        "k_01": k01,
-        "k_02": k02,
-        "k_12": k12,
-        "kappa": a["kappa"],
-        "residuals": a["residuals"],
+        "kappa": a.kappa,
+        "space_form_residual": a.residuals["space_form"],
+        "status": a.status,
     }
 
 
@@ -193,49 +193,38 @@ def _verify_checks(p: ModelPoint, tol: float) -> dict[str, float]:
     """All identity residuals at one point, including closed-form targets."""
     a = analyze_point(p, tol)
     ref = model_reference(p)
-    s = a["structure"]
-    checks = dict(a["residuals"])
+    checks = dict(a.residuals)
     checks.update(
         {
-            "gamma_vs_closed_form": max_abs(a["connection"].gamma - ref.gamma),
-            "f_vs_closed_form": max_abs(a["f"] - ref.f),
-            "nijenhuis_vs_closed_form": max_abs(a["nijenhuis"] - ref.nijenhuis),
-            "assoc_nijenhuis_vs_closed_form": max_abs(
-                a["assoc_nijenhuis"] - ref.assoc_nijenhuis
-            ),
-            "curvature_vs_closed_form": max_abs(a["curvature"] - ref.curvature),
-            "ricci_vs_closed_form": max_abs(a["ricci"] - ref.ricci),
-            "ricci_star_vs_closed_form": max_abs(a["ricci_star"] - ref.ricci_star),
-            "tau_vs_closed_form": abs(a["tau"] - ref.tau),
-            "tau_star_vs_closed_form": abs(a["tau_star"] - ref.tau_star),
-            "sectional_vs_closed_form": max(
-                abs(k - ref.sectional) for k in a["k"]
-            ),
+            "gamma_vs_closed_form": max_abs(a.connection.gamma - ref.gamma),
+            "f_vs_closed_form": max_abs(a.f - ref.f),
+            "nijenhuis_vs_closed_form": max_abs(a.nijenhuis - ref.nijenhuis),
+            "assoc_nijenhuis_vs_closed_form": max_abs(a.assoc_nijenhuis - ref.assoc_nijenhuis),
+            "curvature_vs_closed_form": max_abs(a.curvature - ref.curvature),
+            "ricci_vs_closed_form": max_abs(a.ricci - ref.ricci),
+            "ricci_star_vs_closed_form": max_abs(a.ricci_star - ref.ricci_star),
+            "tau_vs_closed_form": abs(a.tau - ref.tau),
+            "tau_star_vs_closed_form": abs(a.tau_star - ref.tau_star),
+            "sectional_vs_closed_form": max(abs(k - ref.sectional) for k in a.k),
             "lee_params_vs_closed_form": max(
-                abs(a["decomposition"].params[key] - val)
-                for key, val in ref.lee_params.items()
+                abs(a.decomposition.params[key] - val) for key, val in ref.lee_params.items()
             ),
-            "class_label": 0.0 if a["label"].classes == ref.classes else 1.0,
+            "class_label": 0.0 if a.label.classes == ref.classes else 1.0,
             "class_components_nonvanishing": 0.0
-            if all(
-                max_abs(a["decomposition"].components[sid]) > tol for sid in ref.classes
-            )
+            if all(max_abs(a.decomposition.components[sid]) > tol for sid in ref.classes)
             else 1.0,
-            "d_eta_vs_closed_form": max_abs(frame.d_eta(a["connection"]) - ref.d_eta),
-            "nabla_xi_xi_vs_closed_form": max_abs(
-                frame.nabla_xi_xi(a["connection"]) - ref.nabla_xi_xi
-            ),
+            "d_eta_vs_closed_form": max_abs(a.d_eta - ref.d_eta),
+            "nabla_xi_xi_vs_closed_form": max_abs(a.nabla_xi_xi - ref.nabla_xi_xi),
         }
     )
     if p.model == "s1":
         # N = -d eta (x) xi on this model
-        deta = frame.d_eta(a["connection"])
         checks["n_plus_deta_xi"] = max_abs(
-            a["nijenhuis"] + np.einsum("ij,k->ijk", deta, s.eta)
+            a.nijenhuis + np.einsum("ij,k->ijk", a.d_eta, a.structure.eta)
         )
     else:
-        checks["d_eta_zero"] = max_abs(frame.d_eta(a["connection"]))
-        checks["nabla_xi_xi_zero"] = max_abs(frame.nabla_xi_xi(a["connection"]))
+        checks["d_eta_zero"] = max_abs(a.d_eta)
+        checks["nabla_xi_xi_zero"] = max_abs(a.nabla_xi_xi)
     return checks
 
 
@@ -269,11 +258,15 @@ def run_verify(model: str, r: float, samples: int, seed: int, tol: float) -> dic
 # ---------------------------------------------------------------------------
 
 
+def _format_float(x) -> str:
+    return format(float(x), ".17g")
+
+
 def format_scalar(x) -> str:
     if isinstance(x, bool):
         return "true" if x else "false"
     if isinstance(x, float):
-        return format(x, ".17g")
+        return _format_float(x)
     return str(x)
 
 
@@ -313,30 +306,34 @@ def render_json(obj, indent: int = 0) -> str:
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        return format(float(obj), ".17g")
+        return _format_float(obj)
     return _json_escape(str(obj))
 
 
-def render_text(obj, prefix: str = "") -> str:
-    """Flat key = value lines for human reading."""
-    lines = []
+def _leaves(obj, sep: str, prefix: str = ""):
+    """Yield (dotted key, formatted value) pairs in report order.
+
+    A list of scalars is one value, joined by `sep`; an empty dict yields
+    the value None.
+    """
     if isinstance(obj, dict):
+        if not obj:
+            yield prefix, None
         for k, v in obj.items():
-            key = f"{prefix}.{k}" if prefix else str(k)
-            if isinstance(v, (dict, list, tuple)):
-                lines.append(render_text(v, key))
-            else:
-                lines.append(f"{key} = {format_scalar(v)}")
+            yield from _leaves(v, sep, f"{prefix}.{k}" if prefix else str(k))
     elif isinstance(obj, (list, tuple)):
         if all(not isinstance(v, (dict, list, tuple)) for v in obj):
-            joined = ", ".join(format_scalar(v) for v in obj)
-            lines.append(f"{prefix} = [{joined}]")
+            yield prefix, "[" + sep.join(format_scalar(v) for v in obj) + "]"
         else:
             for n, v in enumerate(obj):
-                lines.append(render_text(v, f"{prefix}[{n}]"))
+                yield from _leaves(v, sep, f"{prefix}[{n}]")
     else:
-        lines.append(f"{prefix} = {format_scalar(obj)}")
-    return "\n".join(lines)
+        yield prefix, format_scalar(obj)
+
+
+def render_text(obj) -> str:
+    """Flat key = value lines for human reading; an empty dict is a blank line."""
+    return "\n".join("" if v is None else f"{k} = {v}" for k, v in _leaves(obj, ", "))
 
 
 SWEEP_COLUMNS = [
@@ -383,6 +380,14 @@ def _csv_field(v) -> str:
     return s
 
 
+def render_csv(report: dict) -> str:
+    """One header line of dotted keys and one line of values."""
+    pairs = [(k, v) for k, v in _leaves(report, "; ") if v is not None]
+    header = ",".join(_csv_field(k) for k, _ in pairs)
+    values = ",".join(_csv_field(v) for _, v in pairs)
+    return header + "\n" + values
+
+
 def sweep_row(model: str, r: float, u: np.ndarray, tol: float) -> dict:
     """One sweep row; domain violations are reported, not raised."""
     base = {
@@ -396,26 +401,28 @@ def sweep_row(model: str, r: float, u: np.ndarray, tol: float) -> dict:
         p = ModelPoint(model=model, r=r, u=np.asarray(u, dtype=float))
     except ValueError as exc:
         return {**base, "status": "skipped", "warning": str(exc)}
-    rep = point_report(p, tol)
-    row = {**base, "status": rep["status"], "warning": ""}
-    row["classes"] = "+".join(rep["classes"])
-    row["is_f0"] = rep["is_f0"]
-    row["class_residual"] = rep["residuals"]["class_decomposition"]
+    a = analyze_point(p, tol)
+    k01, k02, k12 = a.k
+    row = {
+        **base,
+        "status": a.status,
+        "warning": "",
+        "classes": "+".join(_class_names(a.label)),
+        "is_f0": a.label.is_f0,
+        "class_residual": a.residuals["class_decomposition"],
+    }
     for key in ("theta_0", "theta_1", "theta_2", "theta_star_0", "omega_1", "omega_2", "lam", "mu", "nu"):
-        row[key] = rep["params"][key]
-    row["tau"] = rep["tau"]
-    row["tau_star"] = rep["tau_star"]
-    row["k_01"] = rep["k_01"]
-    row["k_02"] = rep["k_02"]
-    row["k_12"] = rep["k_12"]
-    row["space_form_residual"] = rep["residuals"]["space_form"]
-    for key in ("R_0101", "R_0202", "R_1212"):
-        row[key] = rep["curvature_components"].get(key, 0.0)
-    for key in ("rho_00", "rho_11", "rho_22", "rho_star_12"):
-        section = "ricci_star" if key.startswith("rho_star") else "ricci"
-        row[key] = rep[section].get(key, 0.0)
-    row["max_residual"] = max(rep["residuals"].values())
-    row["report"] = rep
+        row[key] = a.decomposition.params[key]
+    row.update(tau=a.tau, tau_star=a.tau_star, k_01=k01, k_02=k02, k_12=k12)
+    row["space_form_residual"] = a.residuals["space_form"]
+    entries = {
+        **_entries("R", a.curvature),
+        **_entries("rho", a.ricci),
+        **_entries("rho_star", a.ricci_star),
+    }
+    for key in ("R_0101", "R_0202", "R_1212", "rho_00", "rho_11", "rho_22", "rho_star_12"):
+        row[key] = entries.get(key, 0.0)
+    row["max_residual"] = max(a.residuals.values())
     return row
 
 

@@ -12,13 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensors import DIM, as_tensor, max_abs
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, dtype=float)
-    a.flags.writeable = False
-    return a
+from .tensors import DIM, _frozen, as_tensor, max_abs
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,13 @@ def as_tensor(values, rank: int) -> np.ndarray:
     return t
 
 
+def _frozen(a) -> np.ndarray:
+    """Read-only float copy, for tensors held by frozen dataclasses."""
+    a = np.array(a, dtype=float)
+    a.flags.writeable = False
+    return a
+
+
 def max_abs(t) -> float:
     """Max-norm of a tensor (0.0 for empty input)."""
     t = np.asarray(t, dtype=float)

@@ -97,12 +97,12 @@ def test_criterion_04_class_s1(s1_batch):
     worst_f = 0.0
     for item in s1_batch:
         a, ref = item["a"], item["ref"]
-        worst_f = max(worst_f, max_abs(a["f"] - ref.f))
-        assert a["label"].classes == (1, 11)
-        assert a["decomposition"].residual <= TOL
-        tol = classification_tol(a["f"])
-        assert max_abs(a["decomposition"].components[1]) > tol
-        assert max_abs(a["decomposition"].components[11]) > tol
+        worst_f = max(worst_f, max_abs(a.f - ref.f))
+        assert a.label.classes == (1, 11)
+        assert a.decomposition.residual <= TOL
+        tol = classification_tol(a.f)
+        assert max_abs(a.decomposition.components[1]) > tol
+        assert max_abs(a.decomposition.components[11]) > tol
     assert worst_f <= TOL
     announce(4, f"s1 is F1+F11 with both components nonvanishing at every point "
                 f"(F residual {worst_f:.2e})")
@@ -112,11 +112,11 @@ def test_criterion_05_class_s2(s2_batch):
     worst_f, worst_deta, worst_geo = 0.0, 0.0, 0.0
     for item in s2_batch:
         a, ref = item["a"], item["ref"]
-        worst_f = max(worst_f, max_abs(a["f"] - ref.f))
-        assert a["label"].classes == (5, 9)
-        assert a["decomposition"].residual <= TOL
-        worst_deta = max(worst_deta, max_abs(d_eta(a["connection"])))
-        worst_geo = max(worst_geo, max_abs(nabla_xi_xi(a["connection"])))
+        worst_f = max(worst_f, max_abs(a.f - ref.f))
+        assert a.label.classes == (5, 9)
+        assert a.decomposition.residual <= TOL
+        worst_deta = max(worst_deta, max_abs(d_eta(a.connection)))
+        worst_geo = max(worst_geo, max_abs(nabla_xi_xi(a.connection)))
     assert worst_f <= TOL
     assert worst_deta <= TOL
     assert worst_geo <= TOL
@@ -131,13 +131,13 @@ def test_criterion_06_nijenhuis(batches):
             a, ref = item["a"], item["ref"]
             worst_cross = max(
                 worst_cross,
-                a["residuals"]["nijenhuis_cross_route"],
-                a["residuals"]["assoc_nijenhuis_cross_route"],
+                a.residuals["nijenhuis_cross_route"],
+                a.residuals["assoc_nijenhuis_cross_route"],
             )
             worst_ref = max(
                 worst_ref,
-                max_abs(a["nijenhuis"] - ref.nijenhuis),
-                max_abs(a["assoc_nijenhuis"] - ref.assoc_nijenhuis),
+                max_abs(a.nijenhuis - ref.nijenhuis),
+                max_abs(a.assoc_nijenhuis - ref.assoc_nijenhuis),
             )
     assert worst_cross <= TOL
     assert worst_ref <= TOL
@@ -153,11 +153,11 @@ def test_criterion_07_curvature_scalars():
         for model, sign in (("s1", 1.0), ("s2", -1.0)):
             u = [0.4, 0.9, 2.2] if model == "s1" else [0.9, 0.4, 2.2]
             rep = analyze_point(pipeline(model, r, u).p, TOL)
-            check(rep["tau"], sign * 6.0 / r**2)
-            check(rep["tau_star"], 0.0)
-            for k in rep["k"]:
+            check(rep.tau, sign * 6.0 / r**2)
+            check(rep.tau_star, 0.0)
+            for k in rep.k:
                 check(k, sign / r**2)
-            assert (rep["tau"] > 0) == (model == "s1")
+            assert (rep.tau > 0) == (model == "s1")
     announce(7, "curvature scalars tau, tau*, k_ij match the closed forms "
                 f"for r in (0.5, 1, 2) at relative tolerance {REL_TOL}")
 
@@ -168,7 +168,7 @@ def test_criterion_08_space_form(batches):
     for model, batch in batches.items():
         sign = -1.0 if model == "s1" else 1.0
         for item in batch:
-            r4 = item["a"]["curvature"]
+            r4 = item["a"].curvature
             rr = item["point"].r
             gg = kulkarni_nomizu(eye, eye)
             worst = max(worst, max_abs(r4 - sign / (2.0 * rr**2) * gg))
@@ -181,7 +181,7 @@ def test_criterion_09_jet_vs_closed_form(batches):
     worst = 0.0
     for batch in batches.values():
         for item in batch:
-            sf = item["a"]["field"]
+            sf = item["a"].field
             cf = closed_form_field(item["point"])
             worst = max(worst, max_abs(sf.c - cf.c), max_abs(sf.dc - cf.dc))
     assert worst <= JET_TOL
@@ -203,7 +203,7 @@ def test_criterion_10_property_suite(batches):
     for batch in batches.values():
         for item in batch:
             for name in names:
-                worst[name] = max(worst[name], item["a"]["residuals"][name])
+                worst[name] = max(worst[name], item["a"].residuals[name])
     for name, value in worst.items():
         assert value <= TOL, name
     announce(10, "property suite (R symmetries + Bianchi, F symmetries, Lee "

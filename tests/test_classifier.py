@@ -87,7 +87,7 @@ def test_lee_forms_zero():
 def test_lee_invariants_on_models(batches):
     for batch in batches.values():
         for item in batch:
-            res = item["a"]["residuals"]
+            res = item["a"].residuals
             assert res["lee_omega_0"] <= 1e-9
             assert res["lee_theta1_plus_thetastar2"] <= 1e-9
             assert res["lee_theta2_plus_thetastar1"] <= 1e-9
@@ -178,4 +178,4 @@ def test_nabla_eta_relation_detects_perturbation():
 def test_decomposition_residual_on_models(batches):
     for batch in batches.values():
         for item in batch:
-            assert item["a"]["residuals"]["class_decomposition"] <= 1e-9
+            assert item["a"].residuals["class_decomposition"] <= 1e-9

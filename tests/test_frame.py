@@ -189,10 +189,10 @@ def test_lie_xi_g():
 def test_jacobi_residual_models(batches):
     for batch in batches.values():
         for item in batch:
-            assert item["a"]["residuals"]["jacobi_identity"] <= 1e-9
+            assert item["a"].residuals["jacobi_identity"] <= 1e-9
 
 
 def test_curvature_symmetries_models(batches):
     for batch in batches.values():
         for item in batch:
-            assert item["a"]["residuals"]["curvature_symmetries"] <= 1e-9
+            assert item["a"].residuals["curvature_symmetries"] <= 1e-9

@@ -135,7 +135,7 @@ def test_frame_positive_in_every_quadrant():
 def test_gram_residual_everywhere(batches):
     for batch in batches.values():
         for item in batch:
-            assert item["a"]["residuals"]["frame_gram"] <= 1e-12
+            assert item["a"].residuals["frame_gram"] <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -179,9 +179,9 @@ def test_jet_vs_closed_form_sampled():
 def test_bracket_antisymmetry_and_jacobi(batches):
     for batch in batches.values():
         for item in batch:
-            sf = item["a"]["field"]
+            sf = item["a"].field
             assert sf.antisymmetry_defect() <= 1e-12
-            assert item["a"]["residuals"]["jacobi_identity"] <= 1e-9
+            assert item["a"].residuals["jacobi_identity"] <= 1e-9
 
 
 # ---------------------------------------------------------------------------

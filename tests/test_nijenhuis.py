@@ -86,8 +86,8 @@ def test_direct_route_flat_frame():
 def test_symmetry_in_first_slots(batches):
     for batch in batches.values():
         for item in batch:
-            n = item["a"]["nijenhuis"]
-            hn = item["a"]["assoc_nijenhuis"]
+            n = item["a"].nijenhuis
+            hn = item["a"].assoc_nijenhuis
             assert max_abs(n + np.swapaxes(n, 0, 1)) <= 1e-12
             assert max_abs(hn - np.swapaxes(hn, 0, 1)) <= 1e-12
 
@@ -95,7 +95,7 @@ def test_symmetry_in_first_slots(batches):
 def test_cross_route_agreement(batches):
     for batch in batches.values():
         for item in batch:
-            res = item["a"]["residuals"]
+            res = item["a"].residuals
             assert res["nijenhuis_cross_route"] <= 1e-9
             assert res["assoc_nijenhuis_cross_route"] <= 1e-9
 
@@ -103,13 +103,13 @@ def test_cross_route_agreement(batches):
 def test_s1_n_equals_minus_deta_xi(s1_batch):
     for item in s1_batch:
         a = item["a"]
-        de = d_eta(a["connection"])
-        rebuilt = -np.einsum("ij,k->ijk", de, a["structure"].eta)
-        assert max_abs(a["nijenhuis"] - rebuilt) <= 1e-9
+        de = d_eta(a.connection)
+        rebuilt = -np.einsum("ij,k->ijk", de, a.structure.eta)
+        assert max_abs(a.nijenhuis - rebuilt) <= 1e-9
 
 
 def test_s2_closed_eta_and_geodesic_reeb(s2_batch):
     for item in s2_batch:
-        conn = item["a"]["connection"]
+        conn = item["a"].connection
         assert max_abs(d_eta(conn)) <= 1e-9
         assert max_abs(nabla_xi_xi(conn)) <= 1e-9
