@@ -50,12 +50,6 @@ class FDecomposition:
     params: dict[str, float]
     residual: float
 
-    def total(self) -> np.ndarray:
-        out = np.zeros((DIM, DIM, DIM))
-        for t in self.components.values():
-            out = out + t
-        return out
-
 
 @dataclass(frozen=True)
 class ClassLabel:

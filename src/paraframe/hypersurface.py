@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .frame import StructureField
-from .jets import TJet
+from .jets import TJet, partials
 from .tensors import DIM, max_abs
 
 #: Points closer than this to an excluded parameter locus are rejected;
@@ -97,13 +97,12 @@ class Jet3:
 class FrameCoeffs:
     """Orthonormal frame in the coordinate basis: e_i = a[i, k] d_k.
 
-    da[l, i, k] and d2a[l, m, i, k] are the first and second coordinate
-    partials of the coefficients.
+    jets[i][k] is the jet of a[i, k] in the surface parameters, valid to
+    degree 2; bracket_field differentiates it.
     """
 
     a: np.ndarray
-    da: np.ndarray
-    d2a: np.ndarray
+    jets: tuple[tuple[TJet, ...], ...]
 
     def gram_defect(self, metric: np.ndarray) -> float:
         return max_abs(self.a @ metric @ self.a.T - np.eye(DIM))
@@ -203,28 +202,17 @@ class ModelPoint:
 
 
 def evaluate_immersion(
-    coords: Callable[[Sequence[TJet]], Sequence[TJet]], u: np.ndarray
+    coords: Callable[[Sequence[TJet]], Sequence[TJet | float]], u: np.ndarray
 ) -> Jet3:
-    """Run a user-supplied jet evaluator at u and collect the 3-jet."""
+    """Run a user-supplied jet evaluator at u and collect the 3-jet.
+
+    Coordinates may be jets or plain numbers; numbers are constants.
+    """
     seeds = [TJet.variable(i, u[i]) for i in range(DIM)]
-    jets = list(coords(seeds))
+    jets = [TJet._coerce(x) for x in coords(seeds)]
     if len(jets) != 4:
         raise ValueError("immersion must produce 4 ambient coordinates")
-    value = np.array([j.value for j in jets])
-    d1 = np.array([[jets[a].first(i) for a in range(4)] for i in range(DIM)])
-    d2 = np.array(
-        [[[jets[a].second(i, j) for a in range(4)] for j in range(DIM)] for i in range(DIM)]
-    )
-    d3 = np.array(
-        [
-            [
-                [[jets[a].third(i, j, k) for a in range(4)] for k in range(DIM)]
-                for j in range(DIM)
-            ]
-            for i in range(DIM)
-        ]
-    )
-    return Jet3(value=value, d1=d1, d2=d2, d3=d3)
+    return Jet3(*(partials(jets, order) for order in range(4)))
 
 
 def immerse(p: ModelPoint) -> Jet3:
@@ -272,10 +260,11 @@ def _metric_jets(tangent: list[list[TJet]], sig: AmbientSignature) -> list[list[
 
 
 def orthonormal_frame(jet: Jet3, sig: AmbientSignature) -> FrameCoeffs:
-    """Gram-Schmidt frame coefficients with their first and second partials.
+    """Gram-Schmidt frame coefficients, with their jets.
 
     Orthonormalization runs in jet arithmetic on the identity coefficient
-    rows, so da and d2a fall out of the same computation that produces a.
+    rows, so the coefficient jets fall out of the same computation that
+    produces a.
     """
     induced_metric(jet, sig)  # positive-definiteness gate
     tangent = _tangent_jets(jet)
@@ -307,50 +296,25 @@ def orthonormal_frame(jet: Jet3, sig: AmbientSignature) -> FrameCoeffs:
                 if w[k].value < 0.0:
                     w = [-wk for wk in w]
                 break
-        rows.append(w)
+        rows.append(tuple(w))
 
-    a = np.array([[rows[i][k].value for k in range(DIM)] for i in range(DIM)])
-    da = np.array(
-        [[[rows[i][k].first(l) for k in range(DIM)] for i in range(DIM)] for l in range(DIM)]
+    return FrameCoeffs(a=partials(rows, 0), jets=tuple(rows))
+
+
+def _det3(q: list[list[TJet]]) -> TJet:
+    return (
+        q[0][0] * (q[1][1] * q[2][2] - q[1][2] * q[2][1])
+        - q[0][1] * (q[1][0] * q[2][2] - q[1][2] * q[2][0])
+        + q[0][2] * (q[1][0] * q[2][1] - q[1][1] * q[2][0])
     )
-    d2a = np.array(
-        [
-            [
-                [[rows[i][k].second(l, m) for k in range(DIM)] for i in range(DIM)]
-                for m in range(DIM)
-            ]
-            for l in range(DIM)
-        ]
-    )
-    return FrameCoeffs(a=a, da=da, d2a=d2a)
 
 
-def _frame_jets(fc: FrameCoeffs) -> list[list[TJet]]:
-    return [
-        [
-            TJet.from_taylor(fc.a[i, k], fc.da[:, i, k], fc.d2a[:, :, i, k])
-            for k in range(DIM)
-        ]
-        for i in range(DIM)
-    ]
-
-
-def _solve3(m: list[list[TJet]], b: list[TJet]) -> list[TJet]:
-    """Cramer solve of a 3x3 system with jet entries."""
-
-    def det3(q):
-        return (
-            q[0][0] * (q[1][1] * q[2][2] - q[1][2] * q[2][1])
-            - q[0][1] * (q[1][0] * q[2][2] - q[1][2] * q[2][0])
-            + q[0][2] * (q[1][0] * q[2][1] - q[1][1] * q[2][0])
-        )
-
-    d = det3(m)
-    inv_d = d.reciprocal()
+def _solve3(m: list[list[TJet]], inv_det: TJet, b: list[TJet]) -> list[TJet]:
+    """Cramer solve of a 3x3 jet system, given the reciprocal of det(m)."""
     out = []
     for col in range(DIM):
         repl = [[b[row] if c == col else m[row][c] for c in range(DIM)] for row in range(DIM)]
-        out.append(det3(repl) * inv_d)
+        out.append(_det3(repl) * inv_det)
     return out
 
 
@@ -358,14 +322,18 @@ def bracket_field(fc: FrameCoeffs) -> StructureField:
     """Bracket coefficients of a frame, with their frame derivatives.
 
     [e_i, e_j] = (a[i, l] d_l a[j, m] - a[j, l] d_l a[i, m]) d_m, converted
-    to frame components through the inverse coefficient matrix; everything
-    is carried as jets so the frame derivatives dc come out exactly.
+    to frame components through the inverse coefficient matrix.  The
+    products read only degree <= 1 of the frame jets and of their
+    derivatives, so degree-2 frame jets give dc exactly.
     """
-    aj = _frame_jets(fc)
-
+    aj = fc.jets
     daj = [[[aj[i][m].deriv(l) for m in range(DIM)] for i in range(DIM)] for l in range(DIM)]
+    # frame components: sum_k C_ij^k a[k, m] = B_ij^m
+    mat = [[aj[k][m] for k in range(DIM)] for m in range(DIM)]
+    inv_det = _det3(mat).reciprocal()
 
-    c_jets = [[[None] * DIM for _ in range(DIM)] for _ in range(DIM)]
+    zero = TJet.constant(0.0)
+    c_jets = [[[zero] * DIM for _ in range(DIM)] for _ in range(DIM)]
     for i in range(DIM):
         for j in range(i + 1, DIM):
             b = []
@@ -374,21 +342,11 @@ def bracket_field(fc: FrameCoeffs) -> StructureField:
                 for l in range(DIM):
                     s = s + aj[i][l] * daj[l][j][m] - aj[j][l] * daj[l][i][m]
                 b.append(s)
-            # frame components: sum_k C_ij^k a[k, m] = B_ij^m
-            mat = [[aj[k][m] for k in range(DIM)] for m in range(DIM)]
-            c_jets[i][j] = _solve3(mat, b)
+            c_jets[i][j] = _solve3(mat, inv_det, b)
+            c_jets[j][i] = [-x for x in c_jets[i][j]]
 
-    c = np.zeros((DIM, DIM, DIM))
-    dcoord = np.zeros((DIM, DIM, DIM, DIM))  # dcoord[m, i, j, k] = d_m C_ij^k
-    for i in range(DIM):
-        for j in range(i + 1, DIM):
-            for k in range(DIM):
-                cj = c_jets[i][j][k]
-                c[i, j, k] = cj.value
-                c[j, i, k] = -cj.value
-                for m in range(DIM):
-                    dcoord[m, i, j, k] = cj.first(m)
-                    dcoord[m, j, i, k] = -cj.first(m)
+    c = partials(c_jets, 0)
+    dcoord = partials(c_jets, 1)  # dcoord[m, i, j, k] = d_m C_ij^k
     dc = np.einsum("lm,mijk->lijk", fc.a, dcoord)
     return StructureField(c=c, dc=dc)
 

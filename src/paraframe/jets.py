@@ -9,7 +9,8 @@ k jet-differentiations of degree-3 data is valid to degree 3 - k).
 
 Coefficients are stored against the graded list of multi-indices
 (1, u0, u1, u2, u0^2, u0*u1, ...); the coefficient of the monomial u^alpha
-is d^alpha f / alpha!.
+is d^alpha f / alpha!.  `partials` reads the partials of one order off a
+nested list of jets at once, as an array with the derivative axes first.
 """
 
 from __future__ import annotations
@@ -50,6 +51,42 @@ _FACTORIAL = np.array(
 )
 
 
+def _partials_table(order: int) -> tuple[np.ndarray, np.ndarray]:
+    pos = np.zeros((NVARS,) * order, dtype=np.intp)
+    for idx in np.ndindex(pos.shape):
+        pos[idx] = _POS[tuple(idx.count(k) for k in range(NVARS))]
+    return pos, _FACTORIAL[pos]
+
+
+#: _PARTIALS[order] = (pos, fact): the partial d^order f / du_i du_j ... is
+#: coefficient pos[i, j, ...] times fact[i, j, ...].
+_PARTIALS = [_partials_table(order) for order in range(ORDER + 1)]
+
+
+def _deriv_table(var: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    source = [n for n, alpha in enumerate(_MONOMIALS) if alpha[var] > 0]
+    target = [_POS[tuple(a - (k == var) for k, a in enumerate(_MONOMIALS[n]))] for n in source]
+    power = [_MONOMIALS[n][var] for n in source]
+    return np.array(target), np.array(source), np.array(power)
+
+
+#: _DERIV[var] = (target, source, power): d/du_var sends the coefficient of
+#: u^alpha, times alpha[var], to the coefficient of u^(alpha - e_var).
+_DERIV = [_deriv_table(var) for var in range(NVARS)]
+
+
+def partials(jets, order: int) -> np.ndarray:
+    """Order-`order` partials of a nested list of jets, derivative axes first.
+
+    For jets nested to shape S the result has shape (NVARS,) * order + S;
+    entry [i, j, ..., s] is d^order jets[s] / du_i du_j ...
+    """
+    pos, fact = _PARTIALS[order]
+    cells = np.array(jets, dtype=object)
+    coeffs = np.array([j.c for j in cells.flat]).T
+    return (coeffs[pos] * fact[..., np.newaxis]).reshape(pos.shape + cells.shape)
+
+
 class TJet:
     """A scalar Taylor jet: value plus partial derivatives through order 3."""
 
@@ -71,8 +108,7 @@ class TJet:
         """The seed jet of parameter `var` at the evaluation point x."""
         c = np.zeros(_NCOEFF)
         c[0] = float(x)
-        unit = tuple(1 if k == var else 0 for k in range(NVARS))
-        c[_POS[unit]] = 1.0
+        c[_PARTIALS[1][0][var]] = 1.0
         return TJet(c)
 
     @staticmethod
@@ -82,18 +118,12 @@ class TJet:
         Third-order coefficients are zero, so the result is valid to
         degree 2, which is all downstream consumers read.
         """
+        pos, fact = _PARTIALS[2]
+        upper = np.triu_indices(NVARS)
         c = np.zeros(_NCOEFF)
         c[0] = float(value)
-        for l in range(NVARS):
-            unit = tuple(1 if k == l else 0 for k in range(NVARS))
-            c[_POS[unit]] = grad[l]
-        for l in range(NVARS):
-            for m in range(l, NVARS):
-                alpha = tuple(
-                    (2 if k == l else 0) if l == m else (1 if k in (l, m) else 0)
-                    for k in range(NVARS)
-                )
-                c[_POS[alpha]] = hess[l, m] / (2.0 if l == m else 1.0)
+        c[_PARTIALS[1][0]] = grad
+        c[pos[upper]] = np.asarray(hess)[upper] / fact[upper]
         return TJet(c)
 
     # ---------- readout ----------
@@ -103,33 +133,21 @@ class TJet:
         return float(self.c[0])
 
     def first(self, l: int) -> float:
-        unit = tuple(1 if k == l else 0 for k in range(NVARS))
-        return float(self.c[_POS[unit]])
+        return float(self.c[_PARTIALS[1][0][l]])
 
     def second(self, l: int, m: int) -> float:
-        alpha = [0, 0, 0]
-        alpha[l] += 1
-        alpha[m] += 1
-        n = _POS[tuple(alpha)]
-        return float(self.c[n] * _FACTORIAL[n])
+        pos, fact = _PARTIALS[2]
+        return float(self.c[pos[l, m]] * fact[l, m])
 
     def third(self, l: int, m: int, p: int) -> float:
-        alpha = [0, 0, 0]
-        alpha[l] += 1
-        alpha[m] += 1
-        alpha[p] += 1
-        n = _POS[tuple(alpha)]
-        return float(self.c[n] * _FACTORIAL[n])
+        pos, fact = _PARTIALS[3]
+        return float(self.c[pos[l, m, p]] * fact[l, m, p])
 
     def deriv(self, var: int) -> "TJet":
         """Partial derivative jet; valid to one degree less than self."""
+        target, source, power = _DERIV[var]
         c = np.zeros(_NCOEFF)
-        for n, alpha in enumerate(_MONOMIALS):
-            if alpha[var] == 0:
-                continue
-            beta = list(alpha)
-            beta[var] -= 1
-            c[_POS[tuple(beta)]] = self.c[n] * alpha[var]
+        c[target] = self.c[source] * power
         return TJet(c)
 
     # ---------- arithmetic ----------

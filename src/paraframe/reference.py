@@ -30,7 +30,6 @@ class ModelReference:
     tau: float
     tau_star: float
     sectional: float
-    kappa: float
     classes: tuple[int, ...]
     lee_params: dict[str, float]
     d_eta: np.ndarray
@@ -92,7 +91,6 @@ def _s1_reference(r: float, u: np.ndarray) -> ModelReference:
         tau=6.0 / r**2,
         tau_star=0.0,
         sectional=1.0 / r**2,
-        kappa=1.0 / r**2,
         classes=(1, 11),
         lee_params={
             "theta_0": 0.0,
@@ -153,7 +151,6 @@ def _s2_reference(r: float, u: np.ndarray) -> ModelReference:
         tau=-6.0 / r**2,
         tau_star=0.0,
         sectional=-1.0 / r**2,
-        kappa=-1.0 / r**2,
         classes=(5, 9),
         lee_params={
             "theta_0": 0.0,

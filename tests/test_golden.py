@@ -1,9 +1,12 @@
 """Golden outputs: every command and format replayed against pinned stdout bytes.
 
 Each case runs `paraframe.cli.main(argv)` in process and compares its exit
-code and the exact stdout bytes with the files in tests/golden/.  The files
-pin the output contract across refactors; rewrite them only for an intended
-output change, with
+code and the exact stdout bytes with the files in tests/golden/.  A second
+golden, tests/golden/pipeline.txt, pins the library-level arrays of the
+frame pipeline (the immersion jet, the frame coefficients and the bracket
+data) at `.17g` on general, non-diagonal frames that the CLI cases never
+reach.  The files pin the output contract across refactors; rewrite them
+only for an intended output change, with
 
     PYTHONPATH=src python tests/test_golden.py --write
 """
@@ -14,9 +17,19 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from paraframe.cli import main
+from paraframe.hypersurface import (
+    EUCLIDEAN,
+    MODELS,
+    bracket_field,
+    evaluate_immersion,
+    immerse,
+    orthonormal_frame,
+    sample_points,
+)
 from paraframe.report import render_csv, render_text
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -93,6 +106,58 @@ def test_render_edge_cases():
     assert render_text(0.1) == " = 0.10000000000000001"
 
 
+def _curved(v):
+    # diagonal metric: [e0, e1] = tan(u0) e1
+    return [v[0].cos() * v[1].cos(), v[0].cos() * v[1].sin(), v[0].sin(), v[2]]
+
+
+def _skew(v):
+    # non-diagonal metric, so Gram-Schmidt mixes every coordinate direction
+    return [
+        v[0].sinh() * v[1].cos() + v[2] * v[0],
+        v[0] * v[1] * v[2],
+        v[1].sin() * v[2].cosh(),
+        v[0] * v[0] - v[2],
+    ]
+
+
+CUSTOM_POINTS = ([0.35, 1.2, -0.7], [-0.9, 0.4, 2.0], [1.1, -2.3, 0.1])
+
+
+def _pipeline_inputs():
+    """(label, signature, jet) for every point the pipeline golden pins."""
+    for model in ("s1", "s2"):
+        for r in (1e-3, 1e4):
+            for p in sample_points(model, 2, seed=7, r=r):
+                label = f"{model} r={r:.17g} u={','.join(f'{x:.17g}' for x in p.u)}"
+                yield label, MODELS[model].signature, immerse(p)
+    for name, coords in (("curved", _curved), ("skew", _skew)):
+        for u in CUSTOM_POINTS:
+            label = f"{name} u={','.join(f'{x:.17g}' for x in u)}"
+            yield label, EUCLIDEAN, evaluate_immersion(coords, np.array(u))
+
+
+def pipeline_text() -> str:
+    """Every pipeline array at every pinned point, one `.17g` line per array."""
+    lines = []
+    for label, sig, jet in _pipeline_inputs():
+        fc = orthonormal_frame(jet, sig)
+        sf = bracket_field(fc)
+        arrays = {
+            "jet.value": jet.value, "jet.d1": jet.d1, "jet.d2": jet.d2, "jet.d3": jet.d3,
+            "fc.a": fc.a, "sf.c": sf.c, "sf.dc": sf.dc,
+        }
+        lines.append(f"# {label}")
+        for name, arr in arrays.items():
+            lines.append(f"{name} {' '.join(f'{x:.17g}' for x in np.ravel(arr))}")
+    return "\n".join(lines) + "\n"
+
+
+def test_pipeline_golden():
+    golden = (GOLDEN / "pipeline.txt").read_text().splitlines()
+    assert pipeline_text().splitlines() == golden
+
+
 def write() -> None:
     GOLDEN.mkdir(exist_ok=True)
     codes = {}
@@ -100,6 +165,7 @@ def write() -> None:
         codes[name], out = run(argv)
         (GOLDEN / f"{name}.stdout").write_bytes(out)
     (GOLDEN / "exit_codes.json").write_text(json.dumps(codes, indent=2, sort_keys=True) + "\n")
+    (GOLDEN / "pipeline.txt").write_text(pipeline_text())
 
 
 if __name__ == "__main__":

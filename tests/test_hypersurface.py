@@ -21,6 +21,7 @@ from paraframe.hypersurface import (
     sphere_residual,
     structure_field,
 )
+from paraframe.jets import TJet
 from paraframe.tensors import max_abs
 
 LN2 = math.log(2.0)
@@ -190,17 +191,18 @@ def test_bracket_antisymmetry_and_jacobi(batches):
 
 
 def test_custom_flat_immersion():
-    from paraframe.jets import TJet
+    # the constant coordinate may be a jet or a plain number
+    for flat in (TJet.constant(0.0), 0.0):
 
-    def coords(v):
-        return [v[0], v[1], v[2], TJet.constant(0.0)]
+        def coords(v, flat=flat):
+            return [v[0], v[1], v[2], flat]
 
-    jet = evaluate_immersion(coords, np.array([0.2, -0.4, 1.0]))
-    fc = orthonormal_frame(jet, EUCLIDEAN)
-    assert np.allclose(fc.a, np.eye(3), atol=1e-14)
-    sf = bracket_field(fc)
-    assert max_abs(sf.c) <= 1e-14
-    assert max_abs(sf.dc) <= 1e-14
+        jet = evaluate_immersion(coords, np.array([0.2, -0.4, 1.0]))
+        fc = orthonormal_frame(jet, EUCLIDEAN)
+        assert np.allclose(fc.a, np.eye(3), atol=1e-14)
+        sf = bracket_field(fc)
+        assert max_abs(sf.c) <= 1e-14
+        assert max_abs(sf.dc) <= 1e-14
 
 
 def test_custom_curved_immersion():
