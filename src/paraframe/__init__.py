@@ -38,7 +38,6 @@ from .hypersurface import (
     Jet3,
     ModelPoint,
     bracket_field,
-    closed_form_field,
     evaluate_immersion,
     fd_jet,
     immerse,

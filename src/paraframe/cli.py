@@ -6,8 +6,11 @@
     paraframe sweep     --model s1 --grid 0,0.5:1.4:10,0 --format csv
 
 Exit codes: 0 success / verification PASS, 1 verification FAIL, 2 usage or
-domain error.  All flags can also be given in a config file of
-`key = value` lines (--config PATH); command-line flags take precedence.
+domain error.  --point belongs to classify and curvature, --samples and
+--seed to verify, --grid to sweep; --model, --r, --tol, --format and
+--config are common.  The same keys can be given in a config file of
+`key = value` lines (--config PATH); a config file may hold keys of every
+command, and command-line flags take precedence.
 """
 
 from __future__ import annotations
@@ -116,19 +119,25 @@ def build_parser() -> argparse.ArgumentParser:
         "curvature, verification and parameter sweeps.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, text in (
-        ("classify", "class membership and scalar parameters at a point"),
-        ("curvature", "curvature tensors and scalars at a point"),
-        ("verify", "check every closed-form identity at sampled points"),
-        ("sweep", "evaluate a report row per grid point"),
+    point = [("--point", {"help": "u0,u1,u2"})]
+    sampling = [
+        ("--samples", {"type": int, "help": "verify sample count"}),
+        ("--seed", {"type": int, "help": "sampling seed"}),
+    ]
+    grid = [("--grid", {"help": "axis specs: value or start:stop:count"})]
+    for name, text, own in (
+        ("classify", "class membership and scalar parameters at a point", point),
+        ("curvature", "curvature tensors and scalars at a point", point),
+        ("verify", "check every closed-form identity at sampled points", sampling),
+        ("sweep", "evaluate a report row per grid point", grid),
     ):
         cmd = sub.add_parser(name, help=text)
+        # flags a command does not take still read as None in make_config
+        cmd.set_defaults(point=None, grid=None, samples=None, seed=None)
         cmd.add_argument("--model", choices=sorted(MODELS))
         cmd.add_argument("--r", type=float, default=None, help="radius (default 1)")
-        cmd.add_argument("--point", default=None, help="u0,u1,u2")
-        cmd.add_argument("--grid", default=None, help="axis specs: value or start:stop:count")
-        cmd.add_argument("--samples", type=int, default=None, help="verify sample count")
-        cmd.add_argument("--seed", type=int, default=None, help="sampling seed")
+        for flag, kwargs in own:
+            cmd.add_argument(flag, **kwargs)
         cmd.add_argument("--tol", type=float, default=None, help="residual tolerance")
         cmd.add_argument("--format", choices=("json", "csv", "text"), default=None)
         cmd.add_argument("--config", default=None, help="key = value config file")

@@ -9,15 +9,16 @@ Two built-in models:
 
 The immersion is evaluated as a degree-3 Taylor jet, so every derivative in
 the pipeline (frame coefficients, bracket coefficients and their frame
-derivatives) is exact to machine precision.  Hand-differentiated closed
-forms for the bracket data are provided as an independent oracle, and a
-finite-difference jet exists for debugging the jet plumbing itself.
+derivatives) is exact to machine precision.  The hand-differentiated
+closed forms of the bracket data live in `reference`, next to the other
+verification targets; a finite-difference jet is kept here for debugging
+the jet plumbing itself.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -60,37 +61,28 @@ LORENTZIAN = AmbientSignature(-1)
 class Jet3:
     """Degree-3 jet of an immersion into 4-space at one parameter point.
 
-    value: ambient point (4,); d1[i, a] = d z^a / d u^i; d2 and d3 are the
-    higher partials, symmetric in their parameter indices.
+    coords holds the four ambient coordinate jets.  The arrays are their
+    partials, read once: value (4,), d1[i, a] = d z^a / d u^i, and d2, d3
+    the higher partials, symmetric in their parameter indices by
+    construction.
     """
 
-    value: np.ndarray
-    d1: np.ndarray
-    d2: np.ndarray
-    d3: np.ndarray
+    coords: tuple[TJet, ...]
+    value: np.ndarray = field(init=False)
+    d1: np.ndarray = field(init=False)
+    d2: np.ndarray = field(init=False)
+    d3: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        value = np.asarray(self.value, dtype=float)
-        d1 = np.asarray(self.d1, dtype=float)
-        d2 = np.asarray(self.d2, dtype=float)
-        d3 = np.asarray(self.d3, dtype=float)
-        shapes = (value.shape, d1.shape, d2.shape, d3.shape)
-        if shapes != ((4,), (3, 4), (3, 3, 4), (3, 3, 3, 4)):
-            raise ValueError(f"bad jet shapes {shapes}")
-        scale = max(1.0, max_abs(d2), max_abs(d3))
-        if max_abs(d2 - np.swapaxes(d2, 0, 1)) > 1e-9 * scale:
-            raise ValueError("second partials are not symmetric")
-        for perm in ((1, 0, 2, 3), (0, 2, 1, 3)):
-            if max_abs(d3 - np.transpose(d3, perm)) > 1e-9 * scale:
-                raise ValueError("third partials are not symmetric")
-        for a in (value, d1, d2, d3):
+        if len(self.coords) != 4:
+            raise ValueError("immersion must produce 4 ambient coordinates")
+        object.__setattr__(self, "coords", tuple(self.coords))
+        for name, order in (("value", 0), ("d1", 1), ("d2", 2), ("d3", 3)):
+            a = partials(self.coords, order)
             if not np.all(np.isfinite(a)):
                 raise ValueError("jet has non-finite entries")
             a.flags.writeable = False
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "d1", d1)
-        object.__setattr__(self, "d2", d2)
-        object.__setattr__(self, "d3", d3)
+            object.__setattr__(self, name, a)
 
 
 @dataclass(frozen=True)
@@ -98,14 +90,16 @@ class FrameCoeffs:
     """Orthonormal frame in the coordinate basis: e_i = a[i, k] d_k.
 
     jets[i][k] is the jet of a[i, k] in the surface parameters, valid to
-    degree 2; bracket_field differentiates it.
+    degree 2; bracket_field differentiates it.  metric is the induced
+    metric G the frame was built against.
     """
 
     a: np.ndarray
     jets: tuple[tuple[TJet, ...], ...]
+    metric: np.ndarray
 
-    def gram_defect(self, metric: np.ndarray) -> float:
-        return max_abs(self.a @ metric @ self.a.T - np.eye(DIM))
+    def gram_defect(self) -> float:
+        return max_abs(self.a @ self.metric @ self.a.T - np.eye(DIM))
 
 
 # ---------------------------------------------------------------------------
@@ -209,10 +203,7 @@ def evaluate_immersion(
     Coordinates may be jets or plain numbers; numbers are constants.
     """
     seeds = [TJet.variable(i, u[i]) for i in range(DIM)]
-    jets = [TJet._coerce(x) for x in coords(seeds)]
-    if len(jets) != 4:
-        raise ValueError("immersion must produce 4 ambient coordinates")
-    return Jet3(*(partials(jets, order) for order in range(4)))
+    return Jet3(tuple(TJet._coerce(x) for x in coords(seeds)))
 
 
 def immerse(p: ModelPoint) -> Jet3:
@@ -236,17 +227,6 @@ def induced_metric(jet: Jet3, sig: AmbientSignature) -> np.ndarray:
     return g
 
 
-def _tangent_jets(jet: Jet3) -> list[list[TJet]]:
-    """Coefficient jets of the tangent vectors, valid to degree 2."""
-    return [
-        [
-            TJet.from_taylor(jet.d1[i, a], jet.d2[i, :, a], jet.d3[i, :, :, a])
-            for a in range(4)
-        ]
-        for i in range(DIM)
-    ]
-
-
 def _metric_jets(tangent: list[list[TJet]], sig: AmbientSignature) -> list[list[TJet]]:
     w = sig.weights
     out = [[None] * DIM for _ in range(DIM)]
@@ -260,14 +240,15 @@ def _metric_jets(tangent: list[list[TJet]], sig: AmbientSignature) -> list[list[
 
 
 def orthonormal_frame(jet: Jet3, sig: AmbientSignature) -> FrameCoeffs:
-    """Gram-Schmidt frame coefficients, with their jets.
+    """Gram-Schmidt frame coefficients, with their jets and the induced metric.
 
-    Orthonormalization runs in jet arithmetic on the identity coefficient
-    rows, so the coefficient jets fall out of the same computation that
-    produces a.
+    The tangent jets d z^a / d u^i are the coordinate jets differentiated
+    once, valid to degree 2.  Orthonormalization runs in jet arithmetic on
+    the identity coefficient rows, so the coefficient jets fall out of the
+    same computation that produces a.
     """
-    induced_metric(jet, sig)  # positive-definiteness gate
-    tangent = _tangent_jets(jet)
+    metric = induced_metric(jet, sig)  # also the positive-definiteness gate
+    tangent = [[jet.coords[a].deriv(i) for a in range(4)] for i in range(DIM)]
     gj = _metric_jets(tangent, sig)
 
     def inner(x: list[TJet], y: list[TJet]) -> TJet:
@@ -298,7 +279,7 @@ def orthonormal_frame(jet: Jet3, sig: AmbientSignature) -> FrameCoeffs:
                 break
         rows.append(tuple(w))
 
-    return FrameCoeffs(a=partials(rows, 0), jets=tuple(rows))
+    return FrameCoeffs(a=partials(rows, 0), jets=tuple(rows), metric=metric)
 
 
 def _det3(q: list[list[TJet]]) -> TJet:
@@ -358,50 +339,6 @@ def structure_field(p: ModelPoint) -> StructureField:
     return bracket_field(fc)
 
 
-def closed_form_field(p: ModelPoint) -> StructureField:
-    """Hand-differentiated bracket data for the built-in models.
-
-    Independent oracle for structure_field: transcribed coefficients, not a
-    second run of the jet pipeline.
-    """
-    r = p.r
-    c = np.zeros((DIM, DIM, DIM))
-    dc = np.zeros((DIM, DIM, DIM, DIM))
-    if p.model == "s1":
-        u1 = p.u[1]
-        cot = math.cos(u1) / math.sin(u1)
-        tan = math.tan(u1)
-        c[0, 1, 0] = cot / r
-        c[1, 0, 0] = -cot / r
-        c[1, 2, 2] = tan / r
-        c[2, 1, 2] = -tan / r
-        # only e_1 = (1/r) d_{u1} differentiates the coefficients
-        csc2 = 1.0 / math.sin(u1) ** 2
-        sec2 = 1.0 / math.cos(u1) ** 2
-        dc[1, 0, 1, 0] = -csc2 / r**2
-        dc[1, 1, 0, 0] = csc2 / r**2
-        dc[1, 1, 2, 2] = sec2 / r**2
-        dc[1, 2, 1, 2] = -sec2 / r**2
-    elif p.model == "s2":
-        u1 = p.u[0]
-        coth = math.cosh(u1) / math.sinh(u1)
-        tanh = math.tanh(u1)
-        c[0, 1, 1] = -coth / r
-        c[1, 0, 1] = coth / r
-        c[0, 2, 2] = -tanh / r
-        c[2, 0, 2] = tanh / r
-        # only e_0 = (1/r) d_{u1} differentiates the coefficients
-        csch2 = 1.0 / math.sinh(u1) ** 2
-        sech2 = 1.0 / math.cosh(u1) ** 2
-        dc[0, 0, 1, 1] = csch2 / r**2
-        dc[0, 1, 0, 1] = -csch2 / r**2
-        dc[0, 0, 2, 2] = -sech2 / r**2
-        dc[0, 2, 0, 2] = sech2 / r**2
-    else:
-        raise ValueError(f"no closed forms for model {p.model!r}")
-    return StructureField(c=c, dc=dc)
-
-
 def sample_points(
     model: str, n: int, seed: int, r: float = 1.0, margin: float = 0.1
 ) -> list[ModelPoint]:
@@ -440,11 +377,14 @@ def _position(p: ModelPoint, u: np.ndarray) -> np.ndarray:
     return np.array([j.value for j in jets])
 
 
-def fd_jet(p: ModelPoint, step: float = 1e-4) -> Jet3:
+def fd_jet(
+    p: ModelPoint, step: float = 1e-4
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Central-difference 3-jet, Richardson extrapolated; debug oracle only.
 
-    Third partials use a coarser step, where roundoff would otherwise
-    dominate; expect ~1e-6 accuracy there and ~1e-9 elsewhere.
+    Returns (value, d1, d2, d3), laid out like the arrays of Jet3.  Third
+    partials use a coarser step, where roundoff would otherwise dominate;
+    expect ~1e-6 accuracy there and ~1e-9 elsewhere.
     """
 
     def richardson(d: Callable[[float], np.ndarray], h: float) -> np.ndarray:
@@ -464,21 +404,7 @@ def fd_jet(p: ModelPoint, step: float = 1e-4) -> Jet3:
     d1 = np.array([d1_of(i) for i in range(DIM)])
 
     def d2_of(i, j):
-        def central(h):
-            if i == j:
-                return (
-                    _position(p, u0 + h * eye[i])
-                    - 2.0 * value
-                    + _position(p, u0 - h * eye[i])
-                ) / h**2
-            return (
-                _position(p, u0 + h * (eye[i] + eye[j]))
-                - _position(p, u0 + h * (eye[i] - eye[j]))
-                - _position(p, u0 - h * (eye[i] - eye[j]))
-                + _position(p, u0 - h * (eye[i] + eye[j]))
-            ) / (4.0 * h**2)
-
-        return richardson(central, step * 10)
+        return richardson(lambda h: _fd_second(p, u0, i, j, h), step * 10)
 
     d2 = np.array([[d2_of(i, j) for j in range(DIM)] for i in range(DIM)])
 
@@ -493,7 +419,7 @@ def fd_jet(p: ModelPoint, step: float = 1e-4) -> Jet3:
     d3 = np.array(
         [[[d3_of(i, j, k) for k in range(DIM)] for j in range(DIM)] for i in range(DIM)]
     )
-    # symmetrize away FD noise so the Jet3 invariants hold
+    # symmetrize away FD noise, so the partials are symmetric like a jet's
     d2 = 0.5 * (d2 + np.swapaxes(d2, 0, 1))
     d3 = (
         d3
@@ -503,7 +429,7 @@ def fd_jet(p: ModelPoint, step: float = 1e-4) -> Jet3:
         + np.transpose(d3, (2, 0, 1, 3))
         + np.transpose(d3, (2, 1, 0, 3))
     ) / 6.0
-    return Jet3(value=value, d1=d1, d2=d2, d3=d3)
+    return value, d1, d2, d3
 
 
 def _fd_second(p: ModelPoint, u: np.ndarray, i: int, j: int, h: float) -> np.ndarray:

@@ -111,21 +111,6 @@ class TJet:
         c[_PARTIALS[1][0][var]] = 1.0
         return TJet(c)
 
-    @staticmethod
-    def from_taylor(value: float, grad: np.ndarray, hess: np.ndarray) -> "TJet":
-        """Rebuild a jet from value, gradient and (symmetric) Hessian.
-
-        Third-order coefficients are zero, so the result is valid to
-        degree 2, which is all downstream consumers read.
-        """
-        pos, fact = _PARTIALS[2]
-        upper = np.triu_indices(NVARS)
-        c = np.zeros(_NCOEFF)
-        c[0] = float(value)
-        c[_PARTIALS[1][0]] = grad
-        c[pos[upper]] = np.asarray(hess)[upper] / fact[upper]
-        return TJet(c)
-
     # ---------- readout ----------
 
     @property

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .frame import ConnectionCoeffs, StructureField, nabla_xi
+from .frame import ConnectionCoeffs, StructureField, d_eta, lie_xi_g
 from .structure import AprStructure
 from .tensors import as_tensor
 
@@ -53,10 +53,6 @@ def nijenhuis_direct(
     psq = p @ p
     eta = s.eta
 
-    ne = nabla_xi(conn)
-    deta = ne - ne.T
-    lieg = ne + ne.T
-
     def torsion_like(b: np.ndarray, correction: np.ndarray) -> np.ndarray:
         out = np.einsum("ai,bj,abk->ijk", p, p, b)
         out += np.einsum("ijm,km->ijk", b, psq)
@@ -66,4 +62,4 @@ def nijenhuis_direct(
         return out
 
     sym = conn.gamma + np.swapaxes(conn.gamma, 0, 1)
-    return torsion_like(sf.c, deta), torsion_like(sym, lieg)
+    return torsion_like(sf.c, d_eta(conn)), torsion_like(sym, lie_xi_g(conn))

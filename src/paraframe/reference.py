@@ -1,8 +1,10 @@
 """Closed-form reference values for the built-in models.
 
 Every tensor the pipeline computes has a hand-transcribed counterpart here,
-parametrized by (r, u).  These are the verification targets of the
-`paraframe verify` command; none of them call back into the pipeline.
+parametrized by (r, u), from the bracket data c and dc of the orthonormal
+frame to the curvature.  These are the verification targets of
+`analyze_point` and the `paraframe verify` command; none of them call back
+into the pipeline.
 """
 
 from __future__ import annotations
@@ -18,8 +20,14 @@ from .tensors import DIM
 
 @dataclass(frozen=True)
 class ModelReference:
-    """Expected frame tensors of a model at one point."""
+    """Expected frame tensors of a model at one point.
 
+    c[i, j, k] and dc[l, i, j, k] are the bracket data of the orthonormal
+    frame, laid out like StructureField.
+    """
+
+    c: np.ndarray
+    dc: np.ndarray
     gamma: np.ndarray
     f: np.ndarray
     nijenhuis: np.ndarray
@@ -48,6 +56,21 @@ def _s1_reference(r: float, u: np.ndarray) -> ModelReference:
     cot = math.cos(u1) / math.sin(u1)
     tan = math.tan(u1)
     a, b = cot / r, tan / r
+
+    bc = np.zeros((DIM, DIM, DIM))
+    bc[0, 1, 0] = a
+    bc[1, 0, 0] = -a
+    bc[1, 2, 2] = b
+    bc[2, 1, 2] = -b
+
+    # only e_1 = (1/r) d_{u1} differentiates the bracket coefficients
+    csc2 = 1.0 / math.sin(u1) ** 2 / r**2
+    sec2 = 1.0 / math.cos(u1) ** 2 / r**2
+    dc = np.zeros((DIM, DIM, DIM, DIM))
+    dc[1, 0, 1, 0] = -csc2
+    dc[1, 1, 0, 0] = csc2
+    dc[1, 1, 2, 2] = sec2
+    dc[1, 2, 1, 2] = -sec2
 
     gamma = np.zeros((DIM, DIM, DIM))
     gamma[0, 0, 1] = -a
@@ -81,6 +104,8 @@ def _s1_reference(r: float, u: np.ndarray) -> ModelReference:
     nxx = np.array([0.0, -a, 0.0])
 
     return ModelReference(
+        c=bc,
+        dc=dc,
         gamma=gamma,
         f=f,
         nijenhuis=n,
@@ -114,6 +139,21 @@ def _s2_reference(r: float, u: np.ndarray) -> ModelReference:
     tanh = math.tanh(u1)
     c, t = coth / r, tanh / r
 
+    bc = np.zeros((DIM, DIM, DIM))
+    bc[0, 1, 1] = -c
+    bc[1, 0, 1] = c
+    bc[0, 2, 2] = -t
+    bc[2, 0, 2] = t
+
+    # only e_0 = (1/r) d_{u1} differentiates the bracket coefficients
+    csch2 = 1.0 / math.sinh(u1) ** 2 / r**2
+    sech2 = 1.0 / math.cosh(u1) ** 2 / r**2
+    dc = np.zeros((DIM, DIM, DIM, DIM))
+    dc[0, 0, 1, 1] = csch2
+    dc[0, 1, 0, 1] = -csch2
+    dc[0, 0, 2, 2] = -sech2
+    dc[0, 2, 0, 2] = sech2
+
     gamma = np.zeros((DIM, DIM, DIM))
     gamma[1, 0, 1] = c
     gamma[1, 1, 0] = -c
@@ -141,6 +181,8 @@ def _s2_reference(r: float, u: np.ndarray) -> ModelReference:
     rho_star[1, 2] = rho_star[2, 1] = 1.0 / r**2
 
     return ModelReference(
+        c=bc,
+        dc=dc,
         gamma=gamma,
         f=f,
         nijenhuis=n,

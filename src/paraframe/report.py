@@ -12,9 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import classifier, frame, nijenhuis, tensors
-from .hypersurface import ModelPoint, bracket_field, induced_metric, immerse, orthonormal_frame
-from .hypersurface import closed_form_field, sample_points, sphere_residual
-from .reference import model_reference
+from .hypersurface import ModelPoint, bracket_field, immerse, orthonormal_frame
+from .hypersurface import sample_points, sphere_residual
+from .reference import ModelReference, model_reference
 from .structure import AprStructure, standard_structure, verify_axioms
 from .tensors import DIM, max_abs
 
@@ -29,7 +29,8 @@ REPORT_EPS = 1e-12
 
 @dataclass(frozen=True)
 class PointAnalysis:
-    """Every stage of the pipeline at one point, with its identity residuals."""
+    """Every stage of the pipeline at one point, with its identity residuals
+    and the closed-form targets they are checked against."""
 
     structure: AprStructure
     field: frame.StructureField
@@ -49,6 +50,7 @@ class PointAnalysis:
     kappa: float
     d_eta: np.ndarray
     nabla_xi_xi: np.ndarray
+    reference: ModelReference
     residuals: dict[str, float]
     status: str
 
@@ -56,7 +58,6 @@ class PointAnalysis:
 def analyze_point(p: ModelPoint, tol: float) -> PointAnalysis:
     """Run the full pipeline at one point and collect tensors and residuals."""
     jet = immerse(p)
-    g_coord = induced_metric(jet, p.spec.signature)
     fc = orthonormal_frame(jet, p.spec.signature)
     sf = bracket_field(fc)
     conn = frame.koszul(sf)
@@ -79,15 +80,15 @@ def analyze_point(p: ModelPoint, tol: float) -> PointAnalysis:
 
     fs1, fs2 = classifier.f_symmetry_residuals(f, s)
     rsym = tensors.curvature_symmetry_residuals(r4)
-    cf = closed_form_field(p)
+    ref = model_reference(p)
     # axioms checked against the true frame Gram metric, not the idealized identity
-    s_at_p = AprStructure(phi=s.phi, xi=s.xi, eta=s.eta, metric=fc.a @ g_coord @ fc.a.T)
+    s_at_p = AprStructure(phi=s.phi, xi=s.xi, eta=s.eta, metric=fc.a @ fc.metric @ fc.a.T)
     residuals = {
         "on_sphere": sphere_residual(p, jet),
-        "frame_gram": fc.gram_defect(g_coord),
+        "frame_gram": fc.gram_defect(),
         "structure_axioms": verify_axioms(s_at_p).worst,
-        "bracket_vs_closed_form": max_abs(sf.c - cf.c),
-        "bracket_deriv_vs_closed_form": max_abs(sf.dc - cf.dc),
+        "bracket_vs_closed_form": max_abs(sf.c - ref.c),
+        "bracket_deriv_vs_closed_form": max_abs(sf.dc - ref.dc),
         "jacobi_identity": frame.jacobi_residual(sf),
         "connection_metric": conn.metric_defect(),
         "connection_torsion": conn.torsion_defect(sf),
@@ -127,6 +128,7 @@ def analyze_point(p: ModelPoint, tol: float) -> PointAnalysis:
         kappa=kappa,
         d_eta=frame.d_eta(conn),
         nabla_xi_xi=frame.nabla_xi_xi(conn),
+        reference=ref,
         residuals=residuals,
         status="PASS" if max(residuals.values()) <= tol else "FAIL",
     )
@@ -192,7 +194,7 @@ def curvature_report(p: ModelPoint, tol: float) -> dict:
 def _verify_checks(p: ModelPoint, tol: float) -> dict[str, float]:
     """All identity residuals at one point, including closed-form targets."""
     a = analyze_point(p, tol)
-    ref = model_reference(p)
+    ref = a.reference
     checks = dict(a.residuals)
     checks.update(
         {

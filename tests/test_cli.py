@@ -149,6 +149,7 @@ def test_config_file_and_flag_override(tmp_path, capsys):
         "model = s1\n"
         "r = 1.0\n"
         "point = 0.3,0.7,1.1\n"
+        "samples = 5\n"
         "format = json\n"
     )
     code, out, _ = run_cli(capsys, "classify", "--config", str(cfg))
@@ -179,6 +180,18 @@ def test_usage_errors(capsys):
     assert run_cli(capsys, "sweep", "--model", "s1")[0] == 2
     assert run_cli(capsys, "verify", "--model", "s1", "--samples", "0")[0] == 2
     assert run_cli(capsys, "classify", "--model", "s1", "--point", "0.3,0.7,1.1", "--r", "-1")[0] == 2
+
+
+def test_commands_reject_flags_they_do_not_read(capsys):
+    for argv in (
+        ["classify", "--model", "s1", "--point", "0.3,0.7,1.1", "--grid", "x"],
+        ["verify", "--model", "s1", "--point", "garbage"],
+        ["classify", "--model", "s1", "--point", "0.3,0.7,1.1", "--samples", "5"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_render_json_17_digits():

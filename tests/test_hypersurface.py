@@ -3,15 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from paraframe.frame import koszul
+from paraframe.frame import StructureField, jacobi_residual, koszul
 from paraframe.hypersurface import (
     EUCLIDEAN,
     LORENTZIAN,
     DomainError,
-    Jet3,
     ModelPoint,
     bracket_field,
-    closed_form_field,
     evaluate_immersion,
     fd_jet,
     immerse,
@@ -22,6 +20,7 @@ from paraframe.hypersurface import (
     structure_field,
 )
 from paraframe.jets import TJet
+from paraframe.reference import model_reference
 from paraframe.tensors import max_abs
 
 LN2 = math.log(2.0)
@@ -96,15 +95,12 @@ def test_induced_metric_s2():
 
 
 def test_induced_metric_rejects_non_riemannian():
-    d1 = np.zeros((3, 4))
-    d1[0, 3] = 1.0  # tangent along the time-like axis
-    d1[1, 1] = 1.0
-    d1[2, 2] = 1.0
-    jet = Jet3(
-        value=np.zeros(4), d1=d1, d2=np.zeros((3, 3, 4)), d3=np.zeros((3, 3, 3, 4))
-    )
+    # d z / d u0 runs along the time-like axis
+    jet = evaluate_immersion(lambda v: [0.0, v[1], v[2], v[0]], np.zeros(3))
     with pytest.raises(ValueError, match="not Riemannian"):
         induced_metric(jet, LORENTZIAN)
+    with pytest.raises(ValueError, match="not Riemannian"):
+        orthonormal_frame(jet, LORENTZIAN)
 
 
 def test_frame_s1_quarter_turn():
@@ -112,14 +108,15 @@ def test_frame_s1_quarter_turn():
     fc = orthonormal_frame(jet, EUCLIDEAN)
     root2 = math.sqrt(2.0)
     assert np.allclose(fc.a, np.diag([root2, 1.0, root2]), atol=1e-14)
-    assert fc.gram_defect(induced_metric(jet, EUCLIDEAN)) <= 1e-12
+    assert np.array_equal(fc.metric, induced_metric(jet, EUCLIDEAN))
+    assert fc.gram_defect() <= 1e-12
 
 
 def test_frame_s2_radius_two():
     jet = immerse(mp("s2", 2.0, [LN2, 0.4, 0.9]))
     fc = orthonormal_frame(jet, LORENTZIAN)
     assert np.allclose(fc.a, np.diag([0.5, 2.0 / 3.0, 0.4]), atol=1e-14)
-    assert fc.gram_defect(induced_metric(jet, LORENTZIAN)) <= 1e-12
+    assert fc.gram_defect() <= 1e-12
 
 
 def test_frame_positive_in_every_quadrant():
@@ -130,7 +127,7 @@ def test_frame_positive_in_every_quadrant():
         fc = orthonormal_frame(jet, EUCLIDEAN)
         assert fc.a[0, 0] == pytest.approx(1.0 / abs(math.sin(u1)), abs=1e-12)
         assert fc.a[2, 2] == pytest.approx(1.0 / abs(math.cos(u1)), abs=1e-12)
-        assert fc.gram_defect(induced_metric(jet, EUCLIDEAN)) <= 1e-12
+        assert fc.gram_defect() <= 1e-12
 
 
 def test_gram_residual_everywhere(batches):
@@ -161,20 +158,31 @@ def test_structure_field_s2_values():
 
 
 def test_closed_form_field_values():
-    sf = closed_form_field(mp("s1", 2.0, [0.3, math.pi / 3, 1.1]))
-    assert sf.c[0, 1, 0] == pytest.approx(1.0 / (2.0 * math.sqrt(3.0)), abs=1e-15)
+    ref = model_reference(mp("s1", 2.0, [0.3, math.pi / 3, 1.1]))
+    assert ref.c[0, 1, 0] == pytest.approx(1.0 / (2.0 * math.sqrt(3.0)), abs=1e-15)
     # coth is odd: the negative branch flips the sign
-    sf2 = closed_form_field(mp("s2", 1.0, [-LN2, 0.4, 0.9]))
-    assert sf2.c[0, 1, 1] == pytest.approx(5.0 / 3.0, abs=1e-15)
+    ref2 = model_reference(mp("s2", 1.0, [-LN2, 0.4, 0.9]))
+    assert ref2.c[0, 1, 1] == pytest.approx(5.0 / 3.0, abs=1e-15)
+
+
+def test_closed_form_brackets_self_consistent():
+    # torsion-free gamma, antisymmetric brackets and Jacobi, without the pipeline
+    for model, u in (("s1", [0.3, 2.2, 1.1]), ("s2", [-0.7, 0.4, 0.9])):
+        for r in (1e-3, 0.37, 1.0, 2.0, 1e4):
+            ref = model_reference(mp(model, r, u))
+            assert np.array_equal(ref.gamma - np.swapaxes(ref.gamma, 0, 1), ref.c)
+            field = StructureField(ref.c, ref.dc)
+            assert field.antisymmetry_defect() <= 1e-12
+            assert jacobi_residual(field) <= 1e-12
 
 
 def test_jet_vs_closed_form_sampled():
     for model in ("s1", "s2"):
         for p in sample_points(model, 40, seed=9, r=0.8):
             sf = structure_field(p)
-            cf = closed_form_field(p)
-            assert max_abs(sf.c - cf.c) <= 1e-10
-            assert max_abs(sf.dc - cf.dc) <= 1e-10
+            ref = model_reference(p)
+            assert max_abs(sf.c - ref.c) <= 1e-10
+            assert max_abs(sf.dc - ref.dc) <= 1e-10
 
 
 def test_bracket_antisymmetry_and_jacobi(batches):
@@ -213,8 +221,7 @@ def test_custom_curved_immersion():
     u = np.array([0.35, 1.2, -0.7])
     jet = evaluate_immersion(coords, u)
     fc = orthonormal_frame(jet, EUCLIDEAN)
-    g = induced_metric(jet, EUCLIDEAN)
-    assert fc.gram_defect(g) <= 1e-12
+    assert fc.gram_defect() <= 1e-12
     sf = bracket_field(fc)
     assert sf.c[0, 1, 1] == pytest.approx(math.tan(0.35), abs=1e-12)
     conn = koszul(sf)
@@ -224,6 +231,11 @@ def test_custom_curved_immersion():
 def test_custom_immersion_needs_four_coordinates():
     with pytest.raises(ValueError, match="4 ambient"):
         evaluate_immersion(lambda v: [v[0], v[1], v[2]], np.zeros(3))
+
+
+def test_jet3_rejects_non_finite():
+    with pytest.raises(ValueError, match="non-finite"):
+        evaluate_immersion(lambda v: [v[0], v[1], v[2], float("inf")], np.zeros(3))
 
 
 # ---------------------------------------------------------------------------
@@ -247,15 +259,9 @@ def test_fd_jet_matches_taylor_jet():
     for model, u in (("s1", [0.4, 0.9, 2.2]), ("s2", [0.8, 1.1, -0.5])):
         p = mp(model, 1.3, u)
         exact = immerse(p)
-        approx = fd_jet(p)
-        assert max_abs(exact.value - approx.value) == 0.0
-        assert max_abs(exact.d1 - approx.d1) <= 1e-9
-        assert max_abs(exact.d2 - approx.d2) <= 1e-7
-        assert max_abs(exact.d3 - approx.d3) <= 1e-4
+        value, d1, d2, d3 = fd_jet(p)
+        assert max_abs(exact.value - value) == 0.0
+        assert max_abs(exact.d1 - d1) <= 1e-9
+        assert max_abs(exact.d2 - d2) <= 1e-7
+        assert max_abs(exact.d3 - d3) <= 1e-4
 
-
-def test_jet3_validates_symmetry():
-    d2 = np.zeros((3, 3, 4))
-    d2[0, 1, 0] = 1.0  # asymmetric mixed partials
-    with pytest.raises(ValueError, match="symmetric"):
-        Jet3(value=np.zeros(4), d1=np.zeros((3, 4)), d2=d2, d3=np.zeros((3, 3, 3, 4)))

@@ -79,19 +79,6 @@ def test_deriv_shifts_coefficients():
     assert g.second(0, 1) == pytest.approx(math.sin(0.3) * math.sin(1.4), abs=1e-14)
 
 
-def test_from_taylor_round_trip():
-    u0, u1 = TJet.variable(0, 0.3), TJet.variable(1, 1.4)
-    f = u0.sinh() * u1.sin()
-    grad = np.array([f.first(l) for l in range(3)])
-    hess = np.array([[f.second(l, m) for m in range(3)] for l in range(3)])
-    g = TJet.from_taylor(f.value, grad, hess)
-    assert g.value == f.value
-    for l in range(3):
-        assert g.first(l) == pytest.approx(f.first(l), abs=1e-15)
-        for m in range(3):
-            assert g.second(l, m) == pytest.approx(f.second(l, m), abs=1e-15)
-
-
 def test_domain_errors():
     u = TJet.variable(0, -1.0)
     with pytest.raises(ValueError):
