@@ -50,7 +50,6 @@ from .hypersurface import (
 from .nijenhuis import assoc_nijenhuis_from_F, nijenhuis_direct, nijenhuis_from_F
 from .structure import AprStructure, AxiomReport, phi_apply, standard_structure, verify_axioms
 from .tensors import (
-    DEFAULT_TOL,
     DIM,
     contract_metric,
     curvature_symmetry_residuals,

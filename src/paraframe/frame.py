@@ -17,29 +17,32 @@ import numpy as np
 from .tensors import DIM, _frozen, as_tensor, kulkarni_nomizu, max_abs
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StructureField:
-    """Structure constants of a frame at a point.
+    """Structure constants of a frame at a point, or at each point of a batch.
 
-    c[i, j, k]     component k of [e_i, e_j]
-    dc[l, i, j, k] frame derivative e_l(c[i, j, k])
+    c[..., i, j, k]     component k of [e_i, e_j]
+    dc[..., l, i, j, k] frame derivative e_l(c[i, j, k])
+
+    Leading axes index the points of a batch (`bracket_field` of a batched
+    frame); the connection and curvature functions take one point.
     """
 
     c: np.ndarray
     dc: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "c", _frozen(as_tensor(self.c, 3)))
-        object.__setattr__(self, "dc", _frozen(as_tensor(self.dc, 4)))
+        object.__setattr__(self, "c", _frozen(as_tensor(self.c, 3, batched=True)))
+        object.__setattr__(self, "dc", _frozen(as_tensor(self.dc, 4, batched=True)))
 
     def antisymmetry_defect(self) -> float:
         return max(
-            max_abs(self.c + np.swapaxes(self.c, 0, 1)),
-            max_abs(self.dc + np.swapaxes(self.dc, 1, 2)),
+            max_abs(self.c + np.swapaxes(self.c, -3, -2)),
+            max_abs(self.dc + np.swapaxes(self.dc, -3, -2)),
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConnectionCoeffs:
     """Levi-Civita connection in the orthonormal frame.
 

@@ -9,7 +9,10 @@ Two built-in models:
 
 The immersion is evaluated as a degree-3 Taylor jet, so every derivative in
 the pipeline (frame coefficients, bracket coefficients and their frame
-derivatives) is exact to machine precision.  The hand-differentiated
+derivatives) is exact to machine precision.  Each jet stage (immerse,
+orthonormal_frame, bracket_field) takes one point or a batch of points
+with a leading point axis, and a batch row is bitwise the result for that
+point alone.  The hand-differentiated
 closed forms of the bracket data live in `reference`, next to the other
 verification targets; a finite-difference jet is kept here for debugging
 the jet plumbing itself.
@@ -57,49 +60,52 @@ EUCLIDEAN = AmbientSignature(1)
 LORENTZIAN = AmbientSignature(-1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Jet3:
-    """Degree-3 jet of an immersion into 4-space at one parameter point.
+    """Degree-3 jet of an immersion into 4-space, at one parameter point or
+    at a batch of them.
 
-    coords holds the four ambient coordinate jets.  The arrays are their
-    partials, read once: value (4,), d1[i, a] = d z^a / d u^i, and d2, d3
-    the higher partials, symmetric in their parameter indices by
-    construction.
+    coords is the jet of the four ambient coordinates, leading shape
+    (..., 4), where the leading axes before the last index the points of a
+    batch (none for one point).  The arrays are its partials, read once:
+    value (..., 4), d1[..., i, a] = d z^a / d u^i, and d2, d3 the higher
+    partials, symmetric in their parameter indices by construction.
     """
 
-    coords: tuple[TJet, ...]
+    coords: TJet
     value: np.ndarray = field(init=False)
     d1: np.ndarray = field(init=False)
     d2: np.ndarray = field(init=False)
     d3: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        if len(self.coords) != 4:
+        if self.coords.shape[-1:] != (4,):
             raise ValueError("immersion must produce 4 ambient coordinates")
-        object.__setattr__(self, "coords", tuple(self.coords))
         for name, order in (("value", 0), ("d1", 1), ("d2", 2), ("d3", 3)):
-            a = partials(self.coords, order)
+            # parameter axes after the point axes, before the coordinate axis
+            a = np.moveaxis(partials(self.coords, order), range(order), range(-order - 1, -1))
             if not np.all(np.isfinite(a)):
                 raise ValueError("jet has non-finite entries")
             a.flags.writeable = False
             object.__setattr__(self, name, a)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FrameCoeffs:
-    """Orthonormal frame in the coordinate basis: e_i = a[i, k] d_k.
+    """Orthonormal frame in the coordinate basis: e_i = a[..., i, k] d_k.
 
-    jets[i][k] is the jet of a[i, k] in the surface parameters, valid to
-    degree 2; bracket_field differentiates it.  metric is the induced
-    metric G the frame was built against.
+    jets is the jet of a, leading shape (..., 3, 3), valid to degree 2;
+    bracket_field differentiates it.  metric is the induced metric G the
+    frame was built against.  Leading axes index the points of a batch.
     """
 
     a: np.ndarray
-    jets: tuple[tuple[TJet, ...], ...]
+    jets: TJet
     metric: np.ndarray
 
     def gram_defect(self) -> float:
-        return max_abs(self.a @ self.metric @ self.a.T - np.eye(DIM))
+        """max |a G a^T - I| over the frame, or over every frame of a batch."""
+        return max_abs(self.a @ self.metric @ np.swapaxes(self.a, -1, -2) - np.eye(DIM))
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +113,7 @@ class FrameCoeffs:
 # ---------------------------------------------------------------------------
 
 
-def _s1_coords(r: float, v: Sequence[TJet]) -> list[TJet]:
+def _s1_coords(r: float | np.ndarray, v: Sequence[TJet]) -> list[TJet]:
     u0, u1, u2 = v
     return [
         r * u1.cos() * u2.cos(),
@@ -117,7 +123,7 @@ def _s1_coords(r: float, v: Sequence[TJet]) -> list[TJet]:
     ]
 
 
-def _s2_coords(r: float, v: Sequence[TJet]) -> list[TJet]:
+def _s2_coords(r: float | np.ndarray, v: Sequence[TJet]) -> list[TJet]:
     u1, u2, u3 = v
     return [
         r * u1.sinh() * u2.cos(),
@@ -151,7 +157,7 @@ class ModelSpec:
     name: str
     signature: AmbientSignature
     sphere_sign: int  # <z, z> = sphere_sign * r^2
-    coords: Callable[[float, Sequence[TJet]], list[TJet]]
+    coords: Callable[[float | np.ndarray, Sequence[TJet]], list[TJet]]  # r per point
     validate: Callable[[np.ndarray], None]
 
     def kappa(self, r: float) -> float:
@@ -200,43 +206,49 @@ def evaluate_immersion(
 ) -> Jet3:
     """Run a user-supplied jet evaluator at u and collect the 3-jet.
 
-    Coordinates may be jets or plain numbers; numbers are constants.
+    u is one parameter point (3,) or a batch (..., 3); the seeds then carry
+    the batch's leading axes.  Coordinates may be jets or plain numbers;
+    numbers are constants.
     """
-    seeds = [TJet.variable(i, u[i]) for i in range(DIM)]
-    return Jet3(tuple(TJet._coerce(x) for x in coords(seeds)))
+    u = np.asarray(u, dtype=float)
+    seeds = [TJet.variable(i, u[..., i]) for i in range(DIM)]
+    return Jet3(TJet.stack([TJet._coerce(x) for x in coords(seeds)]))
 
 
-def immerse(p: ModelPoint) -> Jet3:
-    """Full 3-jet of the model immersion at p."""
-    spec = p.spec
-    return evaluate_immersion(lambda v: spec.coords(p.r, v), p.u)
+def immerse(p: ModelPoint | Sequence[ModelPoint]) -> Jet3:
+    """Full 3-jet of the model immersion at p, or at each point of a list of
+    points of one model (a leading point axis)."""
+    if isinstance(p, ModelPoint):
+        spec, r, u = p.spec, p.r, p.u
+    else:
+        if len({q.model for q in p}) != 1:
+            raise ValueError("a batch of points must share one model")
+        spec = p[0].spec
+        r = np.array([q.r for q in p])
+        u = np.array([q.u for q in p])
+    return evaluate_immersion(lambda v: spec.coords(r, v), u)
 
 
-def sphere_residual(p: ModelPoint, jet: Jet3) -> float:
-    """|<z, z> - sign * r^2| at the evaluated point."""
+def sphere_residual(p: ModelPoint, z: np.ndarray) -> float:
+    """|<z, z> - sign * r^2| for the ambient position z (jet.value) of p."""
     w = p.spec.signature.weights
-    return abs(float(np.dot(w * jet.value, jet.value)) - p.spec.sphere_sign * p.r**2)
+    return abs(float(np.dot(w * z, z)) - p.spec.sphere_sign * p.r**2)
 
 
 def induced_metric(jet: Jet3, sig: AmbientSignature) -> np.ndarray:
-    """First fundamental form G[i, j] = <d_i z, d_j z>; must be Riemannian."""
+    """First fundamental form G[..., i, j] = <d_i z, d_j z>; must be Riemannian."""
     w = sig.weights
-    g = np.einsum("ia,a,ja->ij", jet.d1, w, jet.d1)
+    g = np.einsum("...ia,a,...ja->...ij", jet.d1, w, jet.d1)
     if np.any(np.linalg.eigvalsh(g) <= 0.0):
         raise ValueError("induced metric not Riemannian")
     return g
 
 
-def _metric_jets(tangent: list[list[TJet]], sig: AmbientSignature) -> list[list[TJet]]:
-    w = sig.weights
-    out = [[None] * DIM for _ in range(DIM)]
-    for l in range(DIM):
-        for m in range(l, DIM):
-            s = TJet.constant(0.0)
-            for a in range(4):
-                s = s + tangent[l][a] * tangent[m][a] * w[a]
-            out[l][m] = out[m][l] = s
-    return out
+#: The index pairs (l, m) with l <= m in row-major order, the pair index
+#: of each (l, m) in either order, and the pairs i < j.
+_PAIR_L, _PAIR_M = np.array([0, 0, 0, 1, 1, 2]), np.array([0, 1, 2, 1, 2, 2])
+_PAIR = np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]])
+_UPPER_I, _UPPER_J = np.array([0, 0, 1]), np.array([1, 2, 2])
 
 
 def orthonormal_frame(jet: Jet3, sig: AmbientSignature) -> FrameCoeffs:
@@ -245,90 +257,86 @@ def orthonormal_frame(jet: Jet3, sig: AmbientSignature) -> FrameCoeffs:
     The tangent jets d z^a / d u^i are the coordinate jets differentiated
     once, valid to degree 2.  Orthonormalization runs in jet arithmetic on
     the identity coefficient rows, so the coefficient jets fall out of the
-    same computation that produces a.
+    same computation that produces a.  Every point of a batched jet goes
+    through each step in one array operation over (point, row, column);
+    the metric jets are formed for l <= m and mirrored, and every sum runs
+    in its index order, so each point's frame is bitwise the frame computed
+    for that point alone.
     """
     metric = induced_metric(jet, sig)  # also the positive-definiteness gate
-    tangent = [[jet.coords[a].deriv(i) for a in range(4)] for i in range(DIM)]
-    gj = _metric_jets(tangent, sig)
+    tangent = TJet.stack([jet.coords.deriv(i) for i in range(DIM)], axis=-2)  # [..., i, a]
+    pairs = tangent[..., _PAIR_L, :] * tangent[..., _PAIR_M, :] * sig.weights
+    gj = pairs.sum()[..., _PAIR]  # [..., l, m]
 
-    def inner(x: list[TJet], y: list[TJet]) -> TJet:
-        s = TJet.constant(0.0)
-        for l in range(DIM):
-            for m in range(DIM):
-                s = s + x[l] * gj[l][m] * y[m]
-        return s
+    def inner(x: TJet, y: TJet) -> TJet:
+        # sum over (l, m) of x[l] g[l, m] y[m]
+        return (x[..., :, None] * gj * y[..., None, :]).sum(2)
 
-    rows: list[list[TJet]] = []
+    rows: list[TJet] = []
     for i in range(DIM):
-        w = [TJet.constant(1.0 if k == i else 0.0) for k in range(DIM)]
+        w = TJet.constant(np.eye(DIM)[i])
         for prev in rows:
-            proj = inner(w, prev)
-            w = [w[k] - proj * prev[k] for k in range(DIM)]
+            w = w - inner(w, prev)[..., None] * prev
         n2 = inner(w, w)
-        if n2.value <= 1e-24:
+        if np.any(n2.value <= 1e-24):
             raise ValueError("degenerate tangent vectors: cannot orthonormalize")
-        inv_norm = n2.sqrt().reciprocal()
-        w = [w[k] * inv_norm for k in range(DIM)]
+        w = w * n2.sqrt().reciprocal()[..., None]
         # flip the row so its leading coefficient is positive; for s1 this
         # equals the quadrant sign factors sgn(sin u1), sgn(cos u1).
-        row_scale = max(abs(w[k].value) for k in range(DIM))
-        for k in range(DIM):
-            if abs(w[k].value) > 1e-9 * row_scale:
-                if w[k].value < 0.0:
-                    w = [-wk for wk in w]
-                break
-        rows.append(tuple(w))
+        v = np.abs(w.value)
+        big = v > 1e-9 * np.max(v, axis=-1, keepdims=True)
+        lead = np.take_along_axis(w.value, np.argmax(big, axis=-1)[..., None], -1)[..., 0]
+        flip = np.any(big, axis=-1) & (lead < 0.0)
+        rows.append(TJet(np.where(flip[..., None, None], -w.c, w.c), w.deg))
 
-    return FrameCoeffs(a=partials(rows, 0), jets=tuple(rows), metric=metric)
+    jets = TJet.stack(rows, axis=-2)
+    return FrameCoeffs(a=partials(jets, 0), jets=jets, metric=metric)
 
 
-def _det3(q: list[list[TJet]]) -> TJet:
-    return (
-        q[0][0] * (q[1][1] * q[2][2] - q[1][2] * q[2][1])
-        - q[0][1] * (q[1][0] * q[2][2] - q[1][2] * q[2][0])
-        + q[0][2] * (q[1][0] * q[2][1] - q[1][1] * q[2][0])
+def _det3(q: TJet) -> TJet:
+    """Determinants of the 3x3 jet matrices q[..., row, col], by cofactors
+    along the first row."""
+    minors = q[..., [1, 1, 1], [1, 0, 0]] * q[..., [2, 2, 2], [2, 2, 1]] - (
+        q[..., [1, 1, 1], [2, 2, 1]] * q[..., [2, 2, 2], [1, 0, 0]]
     )
-
-
-def _solve3(m: list[list[TJet]], inv_det: TJet, b: list[TJet]) -> list[TJet]:
-    """Cramer solve of a 3x3 jet system, given the reciprocal of det(m)."""
-    out = []
-    for col in range(DIM):
-        repl = [[b[row] if c == col else m[row][c] for c in range(DIM)] for row in range(DIM)]
-        out.append(_det3(repl) * inv_det)
-    return out
+    t = q[..., 0, :] * minors
+    return t[..., 0] - t[..., 1] + t[..., 2]
 
 
 def bracket_field(fc: FrameCoeffs) -> StructureField:
     """Bracket coefficients of a frame, with their frame derivatives.
 
     [e_i, e_j] = (a[i, l] d_l a[j, m] - a[j, l] d_l a[i, m]) d_m, converted
-    to frame components through the inverse coefficient matrix.  The
-    products read only degree <= 1 of the frame jets and of their
-    derivatives, so degree-2 frame jets give dc exactly.
+    to frame components by a Cramer solve against the coefficient matrix.
+    The products read only degree <= 1 of the frame jets and of their
+    derivatives, so degree-2 frame jets give dc exactly, and every product
+    here runs at degree 1.  A batched frame gives batched fields; the three
+    pairs i < j and the three Cramer columns are solved in one pass.
     """
     aj = fc.jets
-    daj = [[[aj[i][m].deriv(l) for m in range(DIM)] for i in range(DIM)] for l in range(DIM)]
-    # frame components: sum_k C_ij^k a[k, m] = B_ij^m
-    mat = [[aj[k][m] for k in range(DIM)] for m in range(DIM)]
+    daj = TJet.stack([aj.deriv(l) for l in range(DIM)], axis=-2)  # [..., i, l, m] = d_l a[i, m]
+    pi, pj = _UPPER_I, _UPPER_J
+    # b[..., pair, m] = sum_l a[i, l] d_l a[j, m] - a[j, l] d_l a[i, m]
+    plus = aj[..., pi, :, None] * daj[..., pj, :, :]
+    minus = aj[..., pj, :, None] * daj[..., pi, :, :]
+    b = TJet.constant(0.0)
+    for l in range(DIM):
+        b = b + plus[..., l, :] - minus[..., l, :]
+
+    # frame components: sum_k C_ij^k a[k, m] = B_ij^m, by Cramer's rule
+    mat = TJet(np.swapaxes(aj.c, -3, -2), 1)  # [..., m, k]
     inv_det = _det3(mat).reciprocal()
+    column = np.eye(DIM, dtype=bool)[:, None, :, None]  # [col, row, k]
+    repl = np.where(column, b.c[..., :, None, :, None, :], mat.c[..., None, None, :, :, :])
+    solved = _det3(TJet(repl, 1)) * inv_det[..., None, None]  # [..., pair, k]
 
-    zero = TJet.constant(0.0)
-    c_jets = [[[zero] * DIM for _ in range(DIM)] for _ in range(DIM)]
-    for i in range(DIM):
-        for j in range(i + 1, DIM):
-            b = []
-            for m in range(DIM):
-                s = TJet.constant(0.0)
-                for l in range(DIM):
-                    s = s + aj[i][l] * daj[l][j][m] - aj[j][l] * daj[l][i][m]
-                b.append(s)
-            c_jets[i][j] = _solve3(mat, inv_det, b)
-            c_jets[j][i] = [-x for x in c_jets[i][j]]
-
+    c_jets = np.zeros(solved.c.shape[:-3] + (DIM,) * 3 + solved.c.shape[-1:])
+    c_jets[..., pi, pj, :, :] = solved.c
+    c_jets[..., pj, pi, :, :] = -solved.c
+    c_jets = TJet(c_jets, solved.deg)
     c = partials(c_jets, 0)
-    dcoord = partials(c_jets, 1)  # dcoord[m, i, j, k] = d_m C_ij^k
-    dc = np.einsum("lm,mijk->lijk", fc.a, dcoord)
+    dcoord = partials(c_jets, 1)  # dcoord[m, ..., i, j, k] = d_m C_ij^k
+    dc = np.einsum("...lm,m...ijk->...lijk", fc.a, dcoord)
     return StructureField(c=c, dc=dc)
 
 

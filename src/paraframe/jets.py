@@ -1,4 +1,4 @@
-"""Truncated Taylor jets in three variables.
+"""Truncated Taylor jets in three variables, with leading array axes.
 
 Forward-mode differentiation for the frame pipeline: every scalar quantity
 is carried as a multivariate Taylor polynomial in the three surface
@@ -9,8 +9,26 @@ k jet-differentiations of degree-3 data is valid to degree 3 - k).
 
 Coefficients are stored against the graded list of multi-indices
 (1, u0, u1, u2, u0^2, u0*u1, ...); the coefficient of the monomial u^alpha
-is d^alpha f / alpha!.  `partials` reads the partials of one order off a
-nested list of jets at once, as an array with the derivative axes first.
+is d^alpha f / alpha!.  A jet's coefficient array has shape (..., 20): the
+leading axes index many jets at once (points of a batch, rows and columns
+of a matrix of jets), and every operation acts on all of them in one numpy
+call, broadcasting the leading axes.  `partials` reads the partials of one
+order off such an array, with the derivative axes first.
+
+Each jet carries `deg`, the degree to which its coefficients are valid;
+coefficients above it are not read.  A product is valid to the smaller of
+its operands' degrees and evaluates only the entries of the product table
+whose target has at most that degree: 84 of them at degree 3 (the
+immersion), 28 at degree 2 (the frame, built from first derivatives) and
+7 at degree 1 (the brackets).  The product gathers both operands over the
+table's index arrays and adds the terms into their targets with one
+`np.bincount`, offset per leading cell.  `bincount` adds in input order,
+starting from +0.0, which is the table order, so each target coefficient
+is the same sequence of additions as a loop over the table, bit for bit;
+a truncated table is a subsequence of the full one that keeps every entry
+of the targets it keeps, so truncation changes no coefficient that is
+read.  Values of sin, cos, sinh, cosh and integer powers are taken per
+element with Python's `math`, as for a single jet.
 """
 
 from __future__ import annotations
@@ -46,6 +64,16 @@ for _i, _a in enumerate(_MONOMIALS):
         if sum(_c) <= ORDER:
             _MUL_TABLE.append((_i, _j, _POS[_c]))
 
+
+def _mul_table(deg: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    rows = [t for t in _MUL_TABLE if sum(_MONOMIALS[t[2]]) <= deg]
+    return tuple(np.array(col, dtype=np.intp) for col in zip(*rows))
+
+
+#: _MUL[deg] = (left, right, target): the product table filtered to targets
+#: of degree <= deg, in table order.
+_MUL = [_mul_table(deg) for deg in range(ORDER + 1)]
+
 _FACTORIAL = np.array(
     [math.factorial(a[0]) * math.factorial(a[1]) * math.factorial(a[2]) for a in _MONOMIALS]
 )
@@ -75,65 +103,93 @@ def _deriv_table(var: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 _DERIV = [_deriv_table(var) for var in range(NVARS)]
 
 
-def partials(jets, order: int) -> np.ndarray:
-    """Order-`order` partials of a nested list of jets, derivative axes first.
+def partials(jet: "TJet", order: int) -> np.ndarray:
+    """Order-`order` partials of every jet in `jet`, derivative axes first.
 
-    For jets nested to shape S the result has shape (NVARS,) * order + S;
-    entry [i, j, ..., s] is d^order jets[s] / du_i du_j ...
+    For a jet with leading shape S the result has shape (NVARS,) * order + S;
+    entry [i, j, ..., s] is d^order jet[s] / du_i du_j ...
     """
     pos, fact = _PARTIALS[order]
-    cells = np.array(jets, dtype=object)
-    coeffs = np.array([j.c for j in cells.flat]).T
-    return (coeffs[pos] * fact[..., np.newaxis]).reshape(pos.shape + cells.shape)
+    coeffs = np.moveaxis(jet.c, -1, 0)
+    return coeffs[pos] * fact.reshape(fact.shape + (1,) * (coeffs.ndim - 1))
+
+
+def _elementwise(fn, x: np.ndarray) -> np.ndarray:
+    """fn of every element of x, each a Python float, as an array shaped like x."""
+    return np.array([fn(v) for v in x.ravel().tolist()]).reshape(x.shape)
 
 
 class TJet:
-    """A scalar Taylor jet: value plus partial derivatives through order 3."""
+    """Taylor jets through order 3: coefficient array c of shape (..., 20).
 
-    __slots__ = ("c",)
+    deg is the degree through which the coefficients are valid.
+    """
 
-    def __init__(self, coeffs: np.ndarray):
+    __slots__ = ("c", "deg")
+
+    # ndarray operands defer to TJet's reflected operators
+    __array_ufunc__ = None
+
+    def __init__(self, coeffs: np.ndarray, deg: int = ORDER):
         self.c = coeffs
+        self.deg = deg
 
     # ---------- constructors ----------
 
     @staticmethod
-    def constant(x: float) -> "TJet":
-        c = np.zeros(_NCOEFF)
-        c[0] = float(x)
+    def constant(x) -> "TJet":
+        x = np.asarray(x, dtype=float)
+        c = np.zeros(x.shape + (_NCOEFF,))
+        c[..., 0] = x
         return TJet(c)
 
     @staticmethod
-    def variable(var: int, x: float) -> "TJet":
-        """The seed jet of parameter `var` at the evaluation point x."""
-        c = np.zeros(_NCOEFF)
-        c[0] = float(x)
-        c[_PARTIALS[1][0][var]] = 1.0
-        return TJet(c)
+    def variable(var: int, x) -> "TJet":
+        """The seed jet of parameter `var` at the evaluation point(s) x."""
+        out = TJet.constant(x)
+        out.c[..., _PARTIALS[1][0][var]] = 1.0
+        return out
+
+    @staticmethod
+    def stack(jets: list["TJet"], axis: int = -1) -> "TJet":
+        """The jets, broadcast, side by side along a new leading axis.
+
+        A negative axis counts from the last leading axis, as for arrays of
+        the leading shape.
+        """
+        cs = np.broadcast_arrays(*(j.c for j in jets))
+        return TJet(np.stack(cs, axis=axis - 1 if axis < 0 else axis), min(j.deg for j in jets))
 
     # ---------- readout ----------
 
     @property
-    def value(self) -> float:
-        return float(self.c[0])
+    def shape(self) -> tuple[int, ...]:
+        return self.c.shape[:-1]
 
-    def first(self, l: int) -> float:
-        return float(self.c[_PARTIALS[1][0][l]])
+    @property
+    def value(self) -> np.ndarray:
+        return self.c[..., 0]
 
-    def second(self, l: int, m: int) -> float:
-        pos, fact = _PARTIALS[2]
-        return float(self.c[pos[l, m]] * fact[l, m])
-
-    def third(self, l: int, m: int, p: int) -> float:
-        pos, fact = _PARTIALS[3]
-        return float(self.c[pos[l, m, p]] * fact[l, m, p])
+    def __getitem__(self, idx) -> "TJet":
+        """Index the leading axes."""
+        idx = idx if isinstance(idx, tuple) else (idx,)
+        return TJet(self.c[idx + (slice(None),)], self.deg)
 
     def deriv(self, var: int) -> "TJet":
         """Partial derivative jet; valid to one degree less than self."""
         target, source, power = _DERIV[var]
-        c = np.zeros(_NCOEFF)
-        c[target] = self.c[source] * power
-        return TJet(c)
+        c = np.zeros(self.c.shape)
+        c[..., target] = self.c[..., source] * power
+        return TJet(c, self.deg - 1)
+
+    def sum(self, axes: int = 1) -> "TJet":
+        """Sum over the last `axes` leading axes, term by term in row-major
+        order from +0.0, as a Python loop adds."""
+        c = self.c.reshape(self.c.shape[: -1 - axes] + (-1, _NCOEFF))
+        s = np.zeros(c.shape[:-2] + (_NCOEFF,))
+        for k in range(c.shape[-2]):
+            s = s + c[..., k, :]
+        return TJet(s, self.deg)
 
     # ---------- arithmetic ----------
 
@@ -142,33 +198,46 @@ class TJet:
         return x if isinstance(x, TJet) else TJet.constant(x)
 
     def __add__(self, other) -> "TJet":
-        return TJet(self.c + TJet._coerce(other).c)
+        other = TJet._coerce(other)
+        return TJet(self.c + other.c, min(self.deg, other.deg))
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "TJet":
-        return TJet(self.c - TJet._coerce(other).c)
+        other = TJet._coerce(other)
+        return TJet(self.c - other.c, min(self.deg, other.deg))
 
     def __rsub__(self, other) -> "TJet":
-        return TJet(TJet._coerce(other).c - self.c)
+        other = TJet._coerce(other)
+        return TJet(other.c - self.c, min(self.deg, other.deg))
 
     def __neg__(self) -> "TJet":
-        return TJet(-self.c)
+        return TJet(-self.c, self.deg)
+
+    @staticmethod
+    def _scale(x) -> np.ndarray | float:
+        """A number or an array of numbers, shaped to scale coefficient arrays."""
+        x = np.asarray(x, dtype=float)
+        return float(x) if x.ndim == 0 else x[..., np.newaxis]
 
     def __mul__(self, other) -> "TJet":
         if not isinstance(other, TJet):
-            return TJet(self.c * float(other))
-        a, b = self.c, other.c
-        out = np.zeros(_NCOEFF)
-        for i, j, k in _MUL_TABLE:
-            out[k] += a[i] * b[j]
-        return TJet(out)
+            return TJet(self.c * TJet._scale(other), self.deg)
+        deg = min(self.deg, other.deg)
+        left, right, target = _MUL[deg]
+        terms = self.c[..., left] * other.c[..., right]
+        lead = terms.shape[:-1]
+        cells = math.prod(lead)
+        # flat target of each term: its coefficient, offset by its leading cell
+        flat = np.add.outer(np.arange(0, cells * _NCOEFF, _NCOEFF), target).ravel()
+        out = np.bincount(flat, weights=terms.ravel(), minlength=cells * _NCOEFF)
+        return TJet(out.reshape(lead + (_NCOEFF,)), deg)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "TJet":
         if not isinstance(other, TJet):
-            return TJet(self.c / float(other))
+            return TJet(self.c / TJet._scale(other), self.deg)
         return self * other.reciprocal()
 
     def __rtruediv__(self, other) -> "TJet":
@@ -176,13 +245,13 @@ class TJet:
 
     # ---------- composition with smooth functions ----------
 
-    def _compose(self, d: list[float]) -> "TJet":
+    def _compose(self, d: list[np.ndarray]) -> "TJet":
         """Taylor composition with f given its derivatives d[k] = f^(k)(value).
 
         Exact at ORDER = 3 because the nilpotent part h satisfies h^4 = 0.
         """
-        h = TJet(self.c.copy())
-        h.c[0] = 0.0
+        h = TJet(self.c.copy(), self.deg)
+        h.c[..., 0] = 0.0
         out = TJet.constant(d[0])
         term = TJet.constant(1.0)
         fact = 1.0
@@ -193,31 +262,34 @@ class TJet:
         return out
 
     def sin(self) -> "TJet":
-        s, co = math.sin(self.value), math.cos(self.value)
+        s, co = _elementwise(math.sin, self.value), _elementwise(math.cos, self.value)
         return self._compose([s, co, -s, -co])
 
     def cos(self) -> "TJet":
-        s, co = math.sin(self.value), math.cos(self.value)
+        s, co = _elementwise(math.sin, self.value), _elementwise(math.cos, self.value)
         return self._compose([co, -s, -co, s])
 
     def sinh(self) -> "TJet":
-        s, co = math.sinh(self.value), math.cosh(self.value)
+        s, co = _elementwise(math.sinh, self.value), _elementwise(math.cosh, self.value)
         return self._compose([s, co, s, co])
 
     def cosh(self) -> "TJet":
-        s, co = math.sinh(self.value), math.cosh(self.value)
+        s, co = _elementwise(math.sinh, self.value), _elementwise(math.cosh, self.value)
         return self._compose([co, s, co, s])
 
     def sqrt(self) -> "TJet":
         v = self.value
-        if v <= 0.0:
-            raise ValueError(f"jet sqrt needs a positive value, got {v}")
-        r = math.sqrt(v)
+        bad = v <= 0.0
+        if np.any(bad):
+            raise ValueError(f"jet sqrt needs a positive value, got {float(v[bad][0])}")
+        r = np.sqrt(v)  # correctly rounded, like math.sqrt
         return self._compose([r, 0.5 / r, -0.25 / (r * v), 0.375 / (r * v * v)])
 
     def reciprocal(self) -> "TJet":
         v = self.value
-        if v == 0.0:
+        if np.any(v == 0.0):
             raise ZeroDivisionError("jet reciprocal at zero value")
         iv = 1.0 / v
-        return self._compose([iv, -iv * iv, 2.0 * iv**3, -6.0 * iv**4])
+        cube = _elementwise(lambda x: x**3, iv)
+        fourth = _elementwise(lambda x: x**4, iv)
+        return self._compose([iv, -iv * iv, 2.0 * cube, -6.0 * fourth])

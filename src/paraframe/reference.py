@@ -18,7 +18,7 @@ from .hypersurface import ModelPoint
 from .tensors import DIM
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModelReference:
     """Expected frame tensors of a model at one point.
 

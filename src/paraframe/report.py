@@ -8,11 +8,12 @@ produce byte-identical artifacts.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from . import classifier, frame, nijenhuis, tensors
-from .hypersurface import ModelPoint, bracket_field, immerse, orthonormal_frame
+from .hypersurface import FrameCoeffs, ModelPoint, bracket_field, immerse, orthonormal_frame
 from .hypersurface import sample_points, sphere_residual
 from .reference import ModelReference, model_reference
 from .structure import AprStructure, standard_structure, verify_axioms
@@ -27,7 +28,7 @@ REPORT_EPS = 1e-12
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PointAnalysis:
     """Every stage of the pipeline at one point, with its identity residuals
     and the closed-form targets they are checked against."""
@@ -55,11 +56,66 @@ class PointAnalysis:
     status: str
 
 
+#: Points per call of the jet stages.  The stages' arrays grow with the
+#: chunk, so this bounds their transient memory; beyond a few points the
+#: per-call overhead they amortise is already small.
+CHUNK = 8
+
+
+def _chunked(points: Sequence[ModelPoint]) -> Iterator[list[ModelPoint]]:
+    """Runs of at most CHUNK consecutive points of one model, in order."""
+    chunk: list[ModelPoint] = []
+    for p in points:
+        if chunk and (len(chunk) == CHUNK or p.model != chunk[0].model):
+            yield chunk
+            chunk = []
+        chunk.append(p)
+    if chunk:
+        yield chunk
+
+
+def analyze_points(points: Sequence[ModelPoint], tol: float) -> list[PointAnalysis]:
+    """Run the full pipeline at each point and collect tensors and residuals.
+
+    The jet stages (immerse, orthonormal_frame, bracket_field) run once per
+    chunk of points (see `_chunked`), each point a row of the batched jets;
+    the algebraic tail runs per point.  Every result is bitwise the result
+    for that point alone.  If a chunk raises, it is run again one point at
+    a time, so the error raised is the first failing point's own.
+    """
+    return [a for chunk in _chunked(points) for a in _analyze_chunk(chunk, tol)]
+
+
 def analyze_point(p: ModelPoint, tol: float) -> PointAnalysis:
-    """Run the full pipeline at one point and collect tensors and residuals."""
-    jet = immerse(p)
-    fc = orthonormal_frame(jet, p.spec.signature)
-    sf = bracket_field(fc)
+    """Run the full pipeline at one point; see analyze_points."""
+    return analyze_points([p], tol)[0]
+
+
+def _analyze_chunk(chunk: list[ModelPoint], tol: float) -> list[PointAnalysis]:
+    try:
+        jet = immerse(chunk)
+        fc = orthonormal_frame(jet, chunk[0].spec.signature)
+        sf = bracket_field(fc)
+    except (ValueError, ArithmeticError):
+        if len(chunk) == 1:
+            raise
+        return [a for p in chunk for a in _analyze_chunk([p], tol)]
+    return [
+        _analyze_tail(
+            p,
+            tol,
+            jet.value[n],
+            FrameCoeffs(a=fc.a[n], jets=fc.jets[n], metric=fc.metric[n]),
+            frame.StructureField(c=sf.c[n], dc=sf.dc[n]),
+        )
+        for n, p in enumerate(chunk)
+    ]
+
+
+def _analyze_tail(
+    p: ModelPoint, tol: float, z: np.ndarray, fc: FrameCoeffs, sf: frame.StructureField
+) -> PointAnalysis:
+    """Everything after the bracket data, at one point."""
     conn = frame.koszul(sf)
     s = standard_structure()
 
@@ -84,7 +140,7 @@ def analyze_point(p: ModelPoint, tol: float) -> PointAnalysis:
     # axioms checked against the true frame Gram metric, not the idealized identity
     s_at_p = AprStructure(phi=s.phi, xi=s.xi, eta=s.eta, metric=fc.a @ fc.metric @ fc.a.T)
     residuals = {
-        "on_sphere": sphere_residual(p, jet),
+        "on_sphere": sphere_residual(p, z),
         "frame_gram": fc.gram_defect(),
         "structure_axioms": verify_axioms(s_at_p).worst,
         "bracket_vs_closed_form": max_abs(sf.c - ref.c),
@@ -191,9 +247,8 @@ def curvature_report(p: ModelPoint, tol: float) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _verify_checks(p: ModelPoint, tol: float) -> dict[str, float]:
+def _verify_checks(p: ModelPoint, a: PointAnalysis, tol: float) -> dict[str, float]:
     """All identity residuals at one point, including closed-form targets."""
-    a = analyze_point(p, tol)
     ref = a.reference
     checks = dict(a.residuals)
     checks.update(
@@ -234,9 +289,10 @@ def run_verify(model: str, r: float, samples: int, seed: int, tol: float) -> dic
     """Evaluate every identity at seeded sample points; PASS iff all within tol."""
     points = sample_points(model, samples, seed, r=r)
     worst: dict[str, float] = {}
-    for p in points:
-        for name, value in _verify_checks(p, tol).items():
-            worst[name] = max(worst.get(name, 0.0), value)
+    for chunk in _chunked(points):
+        for p, a in zip(chunk, analyze_points(chunk, tol)):
+            for name, value in _verify_checks(p, a, tol).items():
+                worst[name] = max(worst.get(name, 0.0), value)
     checks = [
         {"name": name, "max_residual": value, "pass": value <= tol}
         for name, value in worst.items()
@@ -390,23 +446,40 @@ def render_csv(report: dict) -> str:
     return header + "\n" + values
 
 
-def sweep_row(model: str, r: float, u: np.ndarray, tol: float) -> dict:
-    """One sweep row; domain violations are reported, not raised."""
-    base = {
-        "model": model,
-        "r": float(r),
-        "u0": float(u[0]),
-        "u1": float(u[1]),
-        "u2": float(u[2]),
-    }
-    try:
-        p = ModelPoint(model=model, r=r, u=np.asarray(u, dtype=float))
-    except ValueError as exc:
-        return {**base, "status": "skipped", "warning": str(exc)}
-    a = analyze_point(p, tol)
+def sweep_rows(model: str, r: float, grid: Iterable, tol: float) -> list[dict]:
+    """One row per grid point u, in order; domain violations are reported,
+    not raised.
+
+    In-domain points are analysed CHUNK at a time, and each row keeps only
+    its own fields, so no analysis outlives its chunk.
+    """
+    rows: list[dict] = []
+    pending: list[tuple[dict, ModelPoint]] = []
+
+    def flush():
+        for (row, _), a in zip(pending, analyze_points([p for _, p in pending], tol)):
+            row.update(_sweep_fields(a))
+        pending.clear()
+
+    for u in grid:
+        row = {"model": model, "r": float(r), "u0": float(u[0]), "u1": float(u[1]),
+               "u2": float(u[2])}
+        rows.append(row)
+        try:
+            p = ModelPoint(model=model, r=r, u=np.asarray(u, dtype=float))
+        except ValueError as exc:
+            row.update(status="skipped", warning=str(exc))
+            continue
+        pending.append((row, p))
+        if len(pending) == CHUNK:
+            flush()
+    flush()
+    return rows
+
+
+def _sweep_fields(a: PointAnalysis) -> dict:
     k01, k02, k12 = a.k
     row = {
-        **base,
         "status": a.status,
         "warning": "",
         "classes": "+".join(_class_names(a.label)),

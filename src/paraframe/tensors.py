@@ -12,15 +12,14 @@ import numpy as np
 
 DIM = 3
 
-#: Default absolute tolerance for equality of closed forms vs jet-computed
-#: values; both routes agree to near machine precision in dimension 3.
-DEFAULT_TOL = 1e-9
+def as_tensor(values, rank: int, batched: bool = False) -> np.ndarray:
+    """Validate and normalize a rank-`rank` frame tensor to a float array.
 
-
-def as_tensor(values, rank: int) -> np.ndarray:
-    """Validate and normalize a rank-`rank` frame tensor to a float array."""
+    With `batched`, leading axes (one tensor per point of a batch) are allowed.
+    """
     t = np.asarray(values, dtype=float)
-    if t.shape != (DIM,) * rank:
+    lead = t.shape[: t.ndim - rank] if batched else ()
+    if t.shape != lead + (DIM,) * rank:
         raise ValueError(f"expected shape {(DIM,) * rank}, got {t.shape}")
     if not np.all(np.isfinite(t)):
         raise ValueError("tensor has non-finite entries")

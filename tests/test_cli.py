@@ -142,6 +142,22 @@ def test_sweep_skips_domain_violations(capsys):
     assert "skipped" in err
 
 
+@pytest.mark.parametrize(
+    "grid, message",
+    [
+        ("0.5,1.0,400:20:2", "error: Eigenvalues did not converge"),
+        ("0.5,1.0,20:400:2", "error: induced metric not Riemannian"),
+    ],
+)
+def test_sweep_reports_first_failing_point_error(capsys, grid, message):
+    # both s2 points fail, each its own way; the first in grid order is
+    # reported, also when both are analysed in one chunk
+    code, out, err = run_cli(capsys, "sweep", "--model", "s2", f"--grid={grid}")
+    assert code == 2
+    assert out == ""
+    assert err.strip() == message
+
+
 def test_config_file_and_flag_override(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(

@@ -37,6 +37,9 @@ GOLDEN = Path(__file__).parent / "golden"
 #: u1 runs over 0, pi/4, pi/2, 3pi/4, pi: three of five columns are skipped.
 SWEEP_GRID = "0.3:0.9:2,0:3.141592653589793:5,1.1"
 
+#: s2 grid of 5 x 3 x 3 rows; the middle u1 column (u1 = 0) is skipped.
+CHUNK_GRID = "-0.6:0.6:5,0.4:2.0:3,-1:1:3"
+
 POINTS = {"s1": ("1", "0.3,0.7,1.1"), "s2": ("2", "0.6,1.0,0.5")}
 
 
@@ -60,6 +63,14 @@ def _cases() -> dict[str, list[str]]:
         cases[f"sweep_s1_{fmt}"] = [
             "sweep", "--model", "s1", "--r", "1", "--grid", SWEEP_GRID, "--format", fmt,
         ]
+    # runs that cross analysis chunk boundaries: 19 samples, and a 45-row
+    # grid whose u1 = 0 rows (9 of them) sit between the analysed rows
+    cases["verify_s2_chunks_json"] = [
+        "verify", "--model", "s2", "--r", "2", "--samples", "19", "--seed", "5", "--format", "json",
+    ]
+    cases["sweep_s2_chunks_csv"] = [
+        "sweep", "--model", "s2", "--r", "1", f"--grid={CHUNK_GRID}", "--format", "csv",
+    ]
     return cases
 
 

@@ -21,6 +21,7 @@ from paraframe.hypersurface import (
 )
 from paraframe.jets import TJet
 from paraframe.reference import model_reference
+from paraframe.report import analyze_point
 from paraframe.tensors import max_abs
 
 LN2 = math.log(2.0)
@@ -39,7 +40,7 @@ def test_immerse_s1_point():
     p = mp("s1", math.sqrt(2.0), [0.0, math.pi / 4, 0.0])
     jet = immerse(p)
     assert np.allclose(jet.value, [1.0, 0.0, 1.0, 0.0], atol=1e-15)
-    assert sphere_residual(p, jet) <= 1e-12
+    assert sphere_residual(p, jet.value) <= 1e-12
 
 
 def test_immerse_s2_point():
@@ -74,7 +75,7 @@ def test_domain_rejections():
 def test_on_sphere_everywhere():
     for model in ("s1", "s2"):
         for p in sample_points(model, 25, seed=3, r=1.7):
-            assert sphere_residual(p, immerse(p)) <= 1e-12
+            assert sphere_residual(p, immerse(p).value) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -265,3 +266,92 @@ def test_fd_jet_matches_taylor_jet():
         assert max_abs(exact.d2 - d2) <= 1e-7
         assert max_abs(exact.d3 - d3) <= 1e-4
 
+
+
+# ---------------------------------------------------------------------------
+# batched jet stages
+# ---------------------------------------------------------------------------
+
+
+def _bits(a) -> np.ndarray:
+    # int64 view, so equal bits (including the sign of zero) compare equal
+    return np.ascontiguousarray(a, dtype=float).view(np.int64)
+
+
+def _batch_points() -> list[ModelPoint]:
+    """s1 in all four u1 quadrants and s2 on both u1 branches, at three radii."""
+    points = []
+    for r in (1e-3, 1.0, 1e4):
+        for quadrant in range(4):
+            points.append(mp("s1", r, [0.4 + quadrant, quadrant * math.pi / 2 + 0.6, 2.9]))
+        for branch in (1.0, -1.0):
+            points.append(mp("s2", r, [branch * (0.3 + r % 1.3), 1.7, -1.1 + r % 2.0]))
+    return points
+
+
+def _skew(v):
+    # non-diagonal metric: the Gram-Schmidt rows mix coordinates, and the
+    # sign rule flips some rows at some points but not at others
+    return [
+        v[0].sinh() * v[1].cos() + v[2] * v[0],
+        v[0] * v[1] * v[2],
+        v[1].sin() * v[2].cosh(),
+        v[0] * v[0] - v[2],
+    ]
+
+
+def _assert_rows_equal_single(jet, fc, sf, singles):
+    for n, (one, fc1, sf1) in enumerate(singles):
+        pairs = [(getattr(jet, k)[n], getattr(one, k)) for k in ("value", "d1", "d2", "d3")]
+        pairs += [(fc.a[n], fc1.a), (fc.metric[n], fc1.metric)]
+        pairs += [(sf.c[n], sf1.c), (sf.dc[n], sf1.dc)]
+        for batched, single in pairs:
+            assert batched.shape == single.shape
+            assert np.array_equal(_bits(batched), _bits(single))
+
+
+def _stages(jet, sig):
+    fc = orthonormal_frame(jet, sig)
+    return jet, fc, bracket_field(fc)
+
+
+@pytest.mark.parametrize("size", [1, 3, 8])
+def test_batch_rows_bitwise_equal_single_points(size):
+    for model in ("s1", "s2"):
+        points = [p for p in _batch_points() if p.model == model]
+        sig = points[0].spec.signature
+        for start in range(0, len(points), size):
+            chunk = points[start : start + size]
+            singles = [_stages(immerse(p), sig) for p in chunk]
+            _assert_rows_equal_single(*_stages(immerse(chunk), sig), singles)
+
+    u = np.random.default_rng(3).uniform(-2.0, 2.0, size=(size, 3))
+    singles = [_stages(evaluate_immersion(_skew, row), EUCLIDEAN) for row in u]
+    _assert_rows_equal_single(*_stages(evaluate_immersion(_skew, u), EUCLIDEAN), singles)
+    # Gram-Schmidt leaves the diagonal positive; a negative one is a flipped row
+    flipped = [bool(fc1.a[1, 1] < 0.0) for _, fc1, _ in singles]
+    assert size < 8 or (any(flipped) and not all(flipped))
+
+
+def test_batch_needs_one_model():
+    with pytest.raises(ValueError, match="one model"):
+        immerse([mp("s1", 1.0, [0.3, 0.7, 1.1]), mp("s2", 1.0, [0.6, 1.0, 0.5])])
+
+
+def test_array_dataclasses_compare_by_identity():
+    p = mp("s1", 1.0, [0.3, 0.7, 1.1])
+    jet = immerse(p)
+    fc = orthonormal_frame(jet, EUCLIDEAN)
+    sf = bracket_field(fc)
+    a = analyze_point(p, 1e-9)
+    for first, second in (
+        (jet, immerse(p)),
+        (fc, orthonormal_frame(jet, EUCLIDEAN)),
+        (sf, bracket_field(fc)),
+        (koszul(sf), koszul(sf)),
+        (model_reference(p), model_reference(p)),
+        (a, analyze_point(p, 1e-9)),
+    ):
+        assert first == first
+        assert not first == second
+        assert first != second

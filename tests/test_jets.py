@@ -3,15 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from paraframe.jets import TJet
+from paraframe.jets import TJet, partials
 
 
 def test_variable_seed():
     j = TJet.variable(1, 0.7)
     assert j.value == 0.7
-    assert j.first(1) == 1.0
-    assert j.first(0) == j.first(2) == 0.0
-    assert j.second(1, 1) == 0.0
+    assert partials(j, 1)[1] == 1.0
+    assert partials(j, 1)[0] == partials(j, 1)[2] == 0.0
+    assert partials(j, 2)[1, 1] == 0.0
 
 
 def test_polynomial_derivatives():
@@ -19,12 +19,12 @@ def test_polynomial_derivatives():
     u0, u1, u2 = (TJet.variable(i, x) for i, x in enumerate((1.5, -0.5, 2.0)))
     f = u0 * u0 * u0 + u0 * u1 * u2
     assert f.value == pytest.approx(1.5**3 + 1.5 * -0.5 * 2.0)
-    assert f.first(0) == pytest.approx(3 * 1.5**2 + (-0.5) * 2.0)
-    assert f.second(0, 0) == pytest.approx(6 * 1.5)
-    assert f.second(1, 2) == pytest.approx(1.5)
-    assert f.third(0, 0, 0) == pytest.approx(6.0)
-    assert f.third(0, 1, 2) == pytest.approx(1.0)
-    assert f.third(1, 1, 2) == pytest.approx(0.0)
+    assert partials(f, 1)[0] == pytest.approx(3 * 1.5**2 + (-0.5) * 2.0)
+    assert partials(f, 2)[0, 0] == pytest.approx(6 * 1.5)
+    assert partials(f, 2)[1, 2] == pytest.approx(1.5)
+    assert partials(f, 3)[0, 0, 0] == pytest.approx(6.0)
+    assert partials(f, 3)[0, 1, 2] == pytest.approx(1.0)
+    assert partials(f, 3)[1, 1, 2] == pytest.approx(0.0)
 
 
 def test_trig_identity_exact():
@@ -49,13 +49,13 @@ def test_transcendental_derivatives():
     f = u0.sin() * u1.cosh() + u2 * u2 * u0
     s, c = math.sin(x[0]), math.cos(x[0])
     sh, ch = math.sinh(x[1]), math.cosh(x[1])
-    assert f.first(0) == pytest.approx(c * ch + x[2] ** 2, abs=1e-14)
-    assert f.first(1) == pytest.approx(s * sh, abs=1e-14)
-    assert f.first(2) == pytest.approx(2 * x[2] * x[0], abs=1e-14)
-    assert f.second(0, 1) == pytest.approx(c * sh, abs=1e-14)
-    assert f.second(2, 2) == pytest.approx(2 * x[0], abs=1e-14)
-    assert f.third(0, 0, 1) == pytest.approx(-s * sh, abs=1e-14)
-    assert f.third(0, 2, 2) == pytest.approx(2.0, abs=1e-14)
+    assert partials(f, 1)[0] == pytest.approx(c * ch + x[2] ** 2, abs=1e-14)
+    assert partials(f, 1)[1] == pytest.approx(s * sh, abs=1e-14)
+    assert partials(f, 1)[2] == pytest.approx(2 * x[2] * x[0], abs=1e-14)
+    assert partials(f, 2)[0, 1] == pytest.approx(c * sh, abs=1e-14)
+    assert partials(f, 2)[2, 2] == pytest.approx(2 * x[0], abs=1e-14)
+    assert partials(f, 3)[0, 0, 1] == pytest.approx(-s * sh, abs=1e-14)
+    assert partials(f, 3)[0, 2, 2] == pytest.approx(2.0, abs=1e-14)
 
 
 def test_division_and_sqrt():
@@ -66,8 +66,8 @@ def test_division_and_sqrt():
     assert np.allclose(r.c, u.c, atol=1e-15)
     inv = 1.0 / u
     assert inv.value == pytest.approx(0.5)
-    assert inv.first(0) == pytest.approx(-0.25)
-    assert inv.second(0, 0) == pytest.approx(0.25)
+    assert partials(inv, 1)[0] == pytest.approx(-0.25)
+    assert partials(inv, 2)[0, 0] == pytest.approx(0.25)
 
 
 def test_deriv_shifts_coefficients():
@@ -75,8 +75,8 @@ def test_deriv_shifts_coefficients():
     f = u0.sin() * u1.cos()
     g = f.deriv(0)  # d/du0: cos(u0) cos(u1), valid to degree 2
     assert g.value == pytest.approx(math.cos(0.3) * math.cos(1.4), abs=1e-14)
-    assert g.first(1) == pytest.approx(-math.cos(0.3) * math.sin(1.4), abs=1e-14)
-    assert g.second(0, 1) == pytest.approx(math.sin(0.3) * math.sin(1.4), abs=1e-14)
+    assert partials(g, 1)[1] == pytest.approx(-math.cos(0.3) * math.sin(1.4), abs=1e-14)
+    assert partials(g, 2)[0, 1] == pytest.approx(math.sin(0.3) * math.sin(1.4), abs=1e-14)
 
 
 def test_domain_errors():
