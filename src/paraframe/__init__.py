@@ -48,7 +48,7 @@ from .hypersurface import (
     structure_field,
 )
 from .nijenhuis import assoc_nijenhuis_from_F, nijenhuis_direct, nijenhuis_from_F
-from .structure import AprStructure, AxiomReport, phi_apply, standard_structure, verify_axioms
+from .structure import AprStructure, AxiomReport, standard_structure, verify_axioms
 from .tensors import (
     DIM,
     contract_metric,

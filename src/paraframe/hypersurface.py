@@ -103,9 +103,9 @@ class FrameCoeffs:
     jets: TJet
     metric: np.ndarray
 
-    def gram_defect(self) -> float:
-        """max |a G a^T - I| over the frame, or over every frame of a batch."""
-        return max_abs(self.a @ self.metric @ np.swapaxes(self.a, -1, -2) - np.eye(DIM))
+    def gram_defect(self):
+        """max |a G a^T - I| over the frame, one value per point of a batch."""
+        return max_abs(self.a @ self.metric @ np.swapaxes(self.a, -1, -2) - np.eye(DIM), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +171,7 @@ MODELS = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModelPoint:
     """A parameter point of a built-in model."""
 

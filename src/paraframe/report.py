@@ -7,16 +7,17 @@ produce byte-identical artifacts.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from . import classifier, frame, nijenhuis, tensors
-from .hypersurface import FrameCoeffs, ModelPoint, bracket_field, immerse, orthonormal_frame
+from .hypersurface import ModelPoint, bracket_field, immerse, orthonormal_frame
 from .hypersurface import sample_points, sphere_residual
 from .reference import ModelReference, model_reference
-from .structure import AprStructure, standard_structure, verify_axioms
+from .structure import STANDARD, AprStructure, verify_axioms
 from .tensors import DIM, max_abs
 
 #: Entries smaller than this are dropped from "nonzero component" listings.
@@ -77,11 +78,12 @@ def _chunked(points: Sequence[ModelPoint]) -> Iterator[list[ModelPoint]]:
 def analyze_points(points: Sequence[ModelPoint], tol: float) -> list[PointAnalysis]:
     """Run the full pipeline at each point and collect tensors and residuals.
 
-    The jet stages (immerse, orthonormal_frame, bracket_field) run once per
-    chunk of points (see `_chunked`), each point a row of the batched jets;
-    the algebraic tail runs per point.  Every result is bitwise the result
-    for that point alone.  If a chunk raises, it is run again one point at
-    a time, so the error raised is the first failing point's own.
+    The whole pipeline, from the jet stages (immerse, orthonormal_frame,
+    bracket_field) to the residuals, runs once per chunk of points (see
+    `_chunked`), each point a row of the batched arrays; only the closed-form
+    reference is evaluated point by point.  Every result is bitwise the
+    result for that point alone.  If a chunk raises, it is run again one
+    point at a time, so the error raised is the first failing point's own.
     """
     return [a for chunk in _chunked(points) for a in _analyze_chunk(chunk, tol)]
 
@@ -91,103 +93,109 @@ def analyze_point(p: ModelPoint, tol: float) -> PointAnalysis:
     return analyze_points([p], tol)[0]
 
 
+#: The planes span{e_a, e_b} of the reported sectional curvatures k_ab.
+_PLANES = tuple((np.eye(DIM)[a], np.eye(DIM)[b]) for a, b in ((0, 1), (0, 2), (1, 2)))
+
+
 def _analyze_chunk(chunk: list[ModelPoint], tol: float) -> list[PointAnalysis]:
+    """The pipeline at the points of one chunk, each stage called once for
+    all of them; then each point's analysis is sliced out."""
+    s = STANDARD
     try:
         jet = immerse(chunk)
         fc = orthonormal_frame(jet, chunk[0].spec.signature)
         sf = bracket_field(fc)
-    except (ValueError, ArithmeticError):
+        conn = frame.koszul(sf)
+
+        f = classifier.fundamental_tensor(conn, s)
+        lee = classifier.lee_forms(f)
+        decomp = classifier.class_components(f, lee)
+        labels = classifier.classify(decomp, classifier.classification_tol(f))
+
+        n_f = nijenhuis.nijenhuis_from_F(f, s)
+        hn_f = nijenhuis.assoc_nijenhuis_from_F(f, s)
+        n_d, hn_d = nijenhuis.nijenhuis_direct(conn, sf, s)
+
+        r4 = frame.curvature(conn, sf)
+        rho = tensors.contract_metric(r4)
+        rho_star = tensors.contract_metric(r4, s.phi)
+        kappa = np.array([p.spec.kappa(p.r) for p in chunk])
+
+        fs1, fs2 = classifier.f_symmetry_residuals(f, s)
+        rsym = tensors.curvature_symmetry_residuals(r4)
+        refs = [model_reference(p) for p in chunk]
+        # axioms checked against the true frame Gram metric, not the idealized identity
+        gram = fc.a @ fc.metric @ np.swapaxes(fc.a, -1, -2)
+        s_at_p = AprStructure(phi=s.phi, xi=s.xi, eta=s.eta, metric=gram)
+        residuals = {
+            "on_sphere": [sphere_residual(p, z) for p, z in zip(chunk, jet.value)],
+            "frame_gram": fc.gram_defect(),
+            "structure_axioms": verify_axioms(s_at_p).worst,
+            "bracket_vs_closed_form": max_abs(sf.c - np.stack([ref.c for ref in refs]), 3),
+            "bracket_deriv_vs_closed_form": max_abs(sf.dc - np.stack([ref.dc for ref in refs]), 4),
+            "jacobi_identity": frame.jacobi_residual(sf),
+            "connection_metric": conn.metric_defect(),
+            "connection_torsion": conn.torsion_defect(sf),
+            "f_symmetry_first": fs1,
+            "f_symmetry_second": fs2,
+            "lee_omega_0": np.abs(lee.omega[:, 0]),
+            "lee_theta1_plus_thetastar2": np.abs(lee.theta[:, 1] + lee.theta_star[:, 2]),
+            "lee_theta2_plus_thetastar1": np.abs(lee.theta[:, 2] + lee.theta_star[:, 1]),
+            "nabla_eta_relation": classifier.check_nabla_eta_relation(conn, f, s),
+            "class_decomposition": decomp.residual,
+            "nijenhuis_cross_route": max_abs(n_f - n_d, 3),
+            "assoc_nijenhuis_cross_route": max_abs(hn_f - hn_d, 3),
+            "curvature_symmetries": functools.reduce(np.maximum, rsym.values()),
+            "ricci_symmetry": tensors.symmetry_defect(rho),
+            "space_form": frame.space_form_residual(r4, kappa),
+        }
+        tau = [tensors.trace2(t) for t in rho]
+        tau_star = [tensors.trace2(t) for t in rho_star]
+        k = [frame.sectional(r4, x, y) for x, y in _PLANES]
+        d_eta = frame.d_eta(conn)
+        nabla_xi_xi = frame.nabla_xi_xi(conn)
+    except (ValueError, ArithmeticError, RuntimeWarning):
+        # RuntimeWarning is raised only where warnings are errors; a batched
+        # stage meets one point's overflow before another point's error
         if len(chunk) == 1:
             raise
         return [a for p in chunk for a in _analyze_chunk([p], tol)]
-    return [
-        _analyze_tail(
-            p,
-            tol,
-            jet.value[n],
-            FrameCoeffs(a=fc.a[n], jets=fc.jets[n], metric=fc.metric[n]),
-            frame.StructureField(c=sf.c[n], dc=sf.dc[n]),
+
+    out = []
+    for n, p in enumerate(chunk):
+        res = {name: float(v[n]) for name, v in residuals.items()}
+        out.append(
+            PointAnalysis(
+                structure=s,
+                field=frame.StructureField(c=sf.c[n], dc=sf.dc[n]),
+                connection=frame.ConnectionCoeffs(gamma=conn.gamma[n], dgamma=conn.dgamma[n]),
+                f=f[n],
+                lee=classifier.LeeForms(
+                    theta=lee.theta[n], theta_star=lee.theta_star[n], omega=lee.omega[n]
+                ),
+                decomposition=classifier.FDecomposition(
+                    components={sid: t[n] for sid, t in decomp.components.items()},
+                    params={key: float(v[n]) for key, v in decomp.params.items()},
+                    residual=res["class_decomposition"],
+                ),
+                label=labels[n],
+                nijenhuis=n_f[n],
+                assoc_nijenhuis=hn_f[n],
+                curvature=r4[n],
+                ricci=rho[n],
+                ricci_star=rho_star[n],
+                tau=tau[n],
+                tau_star=tau_star[n],
+                k=tuple(float(kab[n]) for kab in k),
+                kappa=float(kappa[n]),
+                d_eta=d_eta[n],
+                nabla_xi_xi=nabla_xi_xi[n],
+                reference=refs[n],
+                residuals=res,
+                status="PASS" if max(res.values()) <= tol else "FAIL",
+            )
         )
-        for n, p in enumerate(chunk)
-    ]
-
-
-def _analyze_tail(
-    p: ModelPoint, tol: float, z: np.ndarray, fc: FrameCoeffs, sf: frame.StructureField
-) -> PointAnalysis:
-    """Everything after the bracket data, at one point."""
-    conn = frame.koszul(sf)
-    s = standard_structure()
-
-    f = classifier.fundamental_tensor(conn, s)
-    lee = classifier.lee_forms(f)
-    decomp = classifier.class_components(f, lee)
-    label = classifier.classify(decomp, classifier.classification_tol(f))
-
-    n_f = nijenhuis.nijenhuis_from_F(f, s)
-    hn_f = nijenhuis.assoc_nijenhuis_from_F(f, s)
-    n_d, hn_d = nijenhuis.nijenhuis_direct(conn, sf, s)
-
-    r4 = frame.curvature(conn, sf)
-    rho = tensors.contract_metric(r4)
-    rho_star = tensors.contract_metric(r4, s.phi)
-    basis = np.eye(DIM)
-    kappa = p.spec.kappa(p.r)
-
-    fs1, fs2 = classifier.f_symmetry_residuals(f, s)
-    rsym = tensors.curvature_symmetry_residuals(r4)
-    ref = model_reference(p)
-    # axioms checked against the true frame Gram metric, not the idealized identity
-    s_at_p = AprStructure(phi=s.phi, xi=s.xi, eta=s.eta, metric=fc.a @ fc.metric @ fc.a.T)
-    residuals = {
-        "on_sphere": sphere_residual(p, z),
-        "frame_gram": fc.gram_defect(),
-        "structure_axioms": verify_axioms(s_at_p).worst,
-        "bracket_vs_closed_form": max_abs(sf.c - ref.c),
-        "bracket_deriv_vs_closed_form": max_abs(sf.dc - ref.dc),
-        "jacobi_identity": frame.jacobi_residual(sf),
-        "connection_metric": conn.metric_defect(),
-        "connection_torsion": conn.torsion_defect(sf),
-        "f_symmetry_first": fs1,
-        "f_symmetry_second": fs2,
-        "lee_omega_0": abs(float(lee.omega[0])),
-        "lee_theta1_plus_thetastar2": abs(float(lee.theta[1] + lee.theta_star[2])),
-        "lee_theta2_plus_thetastar1": abs(float(lee.theta[2] + lee.theta_star[1])),
-        "nabla_eta_relation": classifier.check_nabla_eta_relation(conn, f, s),
-        "class_decomposition": decomp.residual,
-        "nijenhuis_cross_route": max_abs(n_f - n_d),
-        "assoc_nijenhuis_cross_route": max_abs(hn_f - hn_d),
-        "curvature_symmetries": max(rsym.values()),
-        "ricci_symmetry": tensors.symmetry_defect(rho),
-        "space_form": frame.space_form_residual(r4, s.metric, kappa),
-    }
-    return PointAnalysis(
-        structure=s,
-        field=sf,
-        connection=conn,
-        f=f,
-        lee=lee,
-        decomposition=decomp,
-        label=label,
-        nijenhuis=n_f,
-        assoc_nijenhuis=hn_f,
-        curvature=r4,
-        ricci=rho,
-        ricci_star=rho_star,
-        tau=tensors.trace2(rho),
-        tau_star=tensors.trace2(rho_star),
-        k=(
-            frame.sectional(r4, s.metric, basis[0], basis[1]),
-            frame.sectional(r4, s.metric, basis[0], basis[2]),
-            frame.sectional(r4, s.metric, basis[1], basis[2]),
-        ),
-        kappa=kappa,
-        d_eta=frame.d_eta(conn),
-        nabla_xi_xi=frame.nabla_xi_xi(conn),
-        reference=ref,
-        residuals=residuals,
-        status="PASS" if max(residuals.values()) <= tol else "FAIL",
-    )
+    return out
 
 
 def _entries(name: str, t: np.ndarray) -> dict[str, float]:
@@ -290,7 +298,7 @@ def run_verify(model: str, r: float, samples: int, seed: int, tol: float) -> dic
     points = sample_points(model, samples, seed, r=r)
     worst: dict[str, float] = {}
     for chunk in _chunked(points):
-        for p, a in zip(chunk, analyze_points(chunk, tol)):
+        for p, a in zip(chunk, _analyze_chunk(chunk, tol)):
             for name, value in _verify_checks(p, a, tol).items():
                 worst[name] = max(worst.get(name, 0.0), value)
     checks = [

@@ -96,13 +96,13 @@ def test_curvature_torsion_mismatch_raises():
 def test_sectional_values():
     ctx = pipeline("s1", 2.0, [0.3, 0.7, 1.1])
     r = curvature(ctx.conn, ctx.sf)
-    assert sectional(r, E, E[0], E[1]) == pytest.approx(0.25, abs=1e-10)
+    assert sectional(r, E[0], E[1]) == pytest.approx(0.25, abs=1e-10)
     # basis invariance: same plane, different basis
-    assert sectional(r, E, E[0] + E[1], E[1]) == pytest.approx(0.25, abs=1e-10)
+    assert sectional(r, E[0] + E[1], E[1]) == pytest.approx(0.25, abs=1e-10)
 
     ctx2 = pipeline("s2", 1.0, [1.3, 0.7, 1.1])
     r2 = curvature(ctx2.conn, ctx2.sf)
-    assert sectional(r2, E, E[1], E[2]) == pytest.approx(-1.0, abs=1e-10)
+    assert sectional(r2, E[1], E[2]) == pytest.approx(-1.0, abs=1e-10)
 
 
 def test_sectional_basis_invariance_randomized():
@@ -110,12 +110,12 @@ def test_sectional_basis_invariance_randomized():
     r = curvature(ctx.conn, ctx.sf)
     rng = np.random.default_rng(17)
     x, y = E[0], E[2]
-    k0 = sectional(r, E, x, y)
+    k0 = sectional(r, x, y)
     for _ in range(50):
         a, b, c, d = rng.normal(size=4)
         if abs(a * d - b * c) < 1e-3:
             continue
-        k = sectional(r, E, a * x + b * y, c * x + d * y)
+        k = sectional(r, a * x + b * y, c * x + d * y)
         assert k == pytest.approx(k0, abs=1e-9)
 
 
@@ -123,18 +123,18 @@ def test_sectional_degenerate_plane():
     ctx = pipeline("s1", 1.0, [0.3, 0.7, 1.1])
     r = curvature(ctx.conn, ctx.sf)
     with pytest.raises(ValueError, match="degenerate"):
-        sectional(r, E, E[0], 2.0 * E[0])
+        sectional(r, E[0], 2.0 * E[0])
 
 
 def test_space_form_residuals():
     ctx = pipeline("s1", 1.0, [0.3, 0.7, 1.1])
     r = curvature(ctx.conn, ctx.sf)
-    assert space_form_residual(r, E, 1.0) <= 1e-9
-    assert space_form_residual(r, E, 0.0) == pytest.approx(1.0, abs=1e-9)
+    assert space_form_residual(r, 1.0) <= 1e-9
+    assert space_form_residual(r, 0.0) == pytest.approx(1.0, abs=1e-9)
 
     ctx2 = pipeline("s2", 1.0, [0.6, 0.7, 1.1])
     r2 = curvature(ctx2.conn, ctx2.sf)
-    assert space_form_residual(r2, E, -1.0) <= 1e-9
+    assert space_form_residual(r2, -1.0) <= 1e-9
 
 
 def test_nabla_xi_s2():

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from paraframe.frame import StructureField, jacobi_residual, koszul
+from paraframe.classifier import fundamental_tensor
+from paraframe.frame import StructureField, curvature, jacobi_residual, koszul
 from paraframe.hypersurface import (
     EUCLIDEAN,
     LORENTZIAN,
@@ -20,9 +21,11 @@ from paraframe.hypersurface import (
     structure_field,
 )
 from paraframe.jets import TJet
+from paraframe.nijenhuis import assoc_nijenhuis_from_F, nijenhuis_from_F
 from paraframe.reference import model_reference
 from paraframe.report import analyze_point
-from paraframe.tensors import max_abs
+from paraframe.structure import standard_structure
+from paraframe.tensors import contract_metric, max_abs
 
 LN2 = math.log(2.0)
 
@@ -300,19 +303,28 @@ def _skew(v):
     ]
 
 
-def _assert_rows_equal_single(jet, fc, sf, singles):
-    for n, (one, fc1, sf1) in enumerate(singles):
-        pairs = [(getattr(jet, k)[n], getattr(one, k)) for k in ("value", "d1", "d2", "d3")]
-        pairs += [(fc.a[n], fc1.a), (fc.metric[n], fc1.metric)]
-        pairs += [(sf.c[n], sf1.c), (sf.dc[n], sf1.dc)]
-        for batched, single in pairs:
-            assert batched.shape == single.shape
-            assert np.array_equal(_bits(batched), _bits(single))
+def _assert_rows_equal_single(stages, singles):
+    for n, one in enumerate(singles):
+        for name, single in one.items():
+            batched = stages[name][n]
+            assert batched.shape == single.shape, name
+            assert np.array_equal(_bits(batched), _bits(single)), name
 
 
-def _stages(jet, sig):
+def _stages(jet, sig) -> dict[str, np.ndarray]:
+    """Every array of the jet stages and the tail tensors built from them."""
     fc = orthonormal_frame(jet, sig)
-    return jet, fc, bracket_field(fc)
+    sf = bracket_field(fc)
+    conn = koszul(sf)
+    s = standard_structure()
+    f = fundamental_tensor(conn, s)
+    r4 = curvature(conn, sf)
+    out = {k: getattr(jet, k) for k in ("value", "d1", "d2", "d3")}
+    out.update(a=fc.a, metric=fc.metric, c=sf.c, dc=sf.dc)
+    out.update(gamma=conn.gamma, dgamma=conn.dgamma, f=f, r=r4)
+    out.update(n=nijenhuis_from_F(f, s), hn=assoc_nijenhuis_from_F(f, s))
+    out.update(rho=contract_metric(r4), rho_star=contract_metric(r4, s.phi))
+    return out
 
 
 @pytest.mark.parametrize("size", [1, 3, 8])
@@ -323,13 +335,13 @@ def test_batch_rows_bitwise_equal_single_points(size):
         for start in range(0, len(points), size):
             chunk = points[start : start + size]
             singles = [_stages(immerse(p), sig) for p in chunk]
-            _assert_rows_equal_single(*_stages(immerse(chunk), sig), singles)
+            _assert_rows_equal_single(_stages(immerse(chunk), sig), singles)
 
     u = np.random.default_rng(3).uniform(-2.0, 2.0, size=(size, 3))
     singles = [_stages(evaluate_immersion(_skew, row), EUCLIDEAN) for row in u]
-    _assert_rows_equal_single(*_stages(evaluate_immersion(_skew, u), EUCLIDEAN), singles)
+    _assert_rows_equal_single(_stages(evaluate_immersion(_skew, u), EUCLIDEAN), singles)
     # Gram-Schmidt leaves the diagonal positive; a negative one is a flipped row
-    flipped = [bool(fc1.a[1, 1] < 0.0) for _, fc1, _ in singles]
+    flipped = [bool(one["a"][1, 1] < 0.0) for one in singles]
     assert size < 8 or (any(flipped) and not all(flipped))
 
 
@@ -344,14 +356,20 @@ def test_array_dataclasses_compare_by_identity():
     fc = orthonormal_frame(jet, EUCLIDEAN)
     sf = bracket_field(fc)
     a = analyze_point(p, 1e-9)
+    b = analyze_point(p, 1e-9)
     for first, second in (
+        (p, mp("s1", 1.0, [0.3, 0.7, 1.1])),
         (jet, immerse(p)),
         (fc, orthonormal_frame(jet, EUCLIDEAN)),
         (sf, bracket_field(fc)),
         (koszul(sf), koszul(sf)),
+        (standard_structure(), standard_structure()),
+        (a.lee, b.lee),
+        (a.decomposition, b.decomposition),
         (model_reference(p), model_reference(p)),
-        (a, analyze_point(p, 1e-9)),
+        (a, b),
     ):
         assert first == first
         assert not first == second
         assert first != second
+        assert hash(first) != hash(second)
