@@ -10,11 +10,31 @@ linearity of Koszul, so the frame field is the only differentiation site.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .tensors import DIM, _frozen, as_tensor, kulkarni_nomizu, max_abs, permute
+
+
+def _index(batch, idx):
+    """batch[idx] for a StructureField or ConnectionCoeffs: idx indexes the
+    leading (point) axes of every array.
+
+    __post_init__ checked the batch's arrays and froze them as read-only
+    copies, so their slices are read-only views that no writable array
+    shares; they need neither the check nor the copy again.
+    """
+    idx = idx if isinstance(idx, tuple) else (idx,)
+    lead = getattr(batch, fields(batch)[0].name).ndim - 3  # the first field has rank 3
+    if len(idx) > lead:
+        raise IndexError(f"{type(batch).__name__} has {lead} point axes, got {len(idx)} indices")
+    out = object.__new__(type(batch))
+    for f in fields(batch):
+        a = getattr(batch, f.name)[idx]
+        a.flags.writeable = False  # an advanced index makes a writable copy
+        object.__setattr__(out, f.name, a)
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -34,6 +54,8 @@ class StructureField:
     def __post_init__(self):
         object.__setattr__(self, "c", _frozen(as_tensor(self.c, 3, batched=True)))
         object.__setattr__(self, "dc", _frozen(as_tensor(self.dc, 4, batched=True)))
+
+    __getitem__ = _index
 
     def antisymmetry_defect(self):
         """max |c[i, j, k] + c[j, i, k]| over c and dc, per point."""
@@ -58,6 +80,8 @@ class ConnectionCoeffs:
     def __post_init__(self):
         object.__setattr__(self, "gamma", _frozen(as_tensor(self.gamma, 3, batched=True)))
         object.__setattr__(self, "dgamma", _frozen(as_tensor(self.dgamma, 4, batched=True)))
+
+    __getitem__ = _index
 
     def metric_defect(self):
         """Residual of gamma[i, j, k] = -gamma[i, k, j], per point."""

@@ -114,23 +114,17 @@ class FrameCoeffs:
 
 
 def _s1_coords(r: float | np.ndarray, v: Sequence[TJet]) -> list[TJet]:
-    u0, u1, u2 = v
-    return [
-        r * u1.cos() * u2.cos(),
-        r * u1.cos() * u2.sin(),
-        r * u1.sin() * u0.cos(),
-        r * u1.sin() * u0.sin(),
-    ]
+    sc = TJet.stack(v, axis=0).sincos()  # [sin | cos, parameter]
+    rc1, rs1 = r * sc[1, 1], r * sc[0, 1]
+    return [rc1 * sc[1, 2], rc1 * sc[0, 2], rs1 * sc[1, 0], rs1 * sc[0, 0]]
 
 
 def _s2_coords(r: float | np.ndarray, v: Sequence[TJet]) -> list[TJet]:
     u1, u2, u3 = v
-    return [
-        r * u1.sinh() * u2.cos(),
-        r * u1.sinh() * u2.sin(),
-        r * u1.cosh() * u3.sinh(),
-        r * u1.cosh() * u3.cosh(),
-    ]
+    hyp = TJet.stack([u1, u3], axis=0).sinhcosh()  # [sinh | cosh, (u1, u3)]
+    trig = u2.sincos()
+    rsh1, rch1 = r * hyp[0, 0], r * hyp[1, 0]
+    return [rsh1 * trig[1], rsh1 * trig[0], rch1 * hyp[0, 1], rch1 * hyp[1, 1]]
 
 
 def _validate_s1(u: np.ndarray) -> None:
@@ -280,16 +274,19 @@ def orthonormal_frame(jet: Jet3, sig: AmbientSignature) -> FrameCoeffs:
         n2 = inner(w, w)
         if np.any(n2.value <= 1e-24):
             raise ValueError("degenerate tangent vectors: cannot orthonormalize")
-        w = w * n2.sqrt().reciprocal()[..., None]
-        # flip the row so its leading coefficient is positive; for s1 this
-        # equals the quadrant sign factors sgn(sin u1), sgn(cos u1).
-        v = np.abs(w.value)
-        big = v > 1e-9 * np.max(v, axis=-1, keepdims=True)
-        lead = np.take_along_axis(w.value, np.argmax(big, axis=-1)[..., None], -1)[..., 0]
-        flip = np.any(big, axis=-1) & (lead < 0.0)
-        rows.append(TJet(np.where(flip[..., None, None], -w.c, w.c), w.deg))
+        rows.append(w * n2.sqrt().reciprocal()[..., None])
 
+    # flip each row so its leading coefficient is positive; for s1 this
+    # equals the quadrant sign factors sgn(sin u1), sgn(cos u1).  A flipped
+    # row only negates the projections onto it in later rows, exactly, so
+    # flipping after Gram-Schmidt gives the same bits as flipping in it.
     jets = TJet.stack(rows, axis=-2)
+    a = jets.value
+    v = np.abs(a)
+    big = v > 1e-9 * np.max(v, axis=-1, keepdims=True)
+    lead = np.take_along_axis(a, np.argmax(big, axis=-1)[..., None], -1)[..., 0]
+    flip = np.any(big, axis=-1) & (lead < 0.0)
+    jets = TJet(np.where(flip[..., None, None], -jets.c, jets.c), jets.deg)
     return FrameCoeffs(a=partials(jets, 0), jets=jets, metric=metric)
 
 

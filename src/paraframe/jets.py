@@ -22,17 +22,24 @@ whose target has at most that degree: 84 of them at degree 3 (the
 immersion), 28 at degree 2 (the frame, built from first derivatives) and
 7 at degree 1 (the brackets).  The product gathers both operands over the
 table's index arrays and adds the terms into their targets with one
-`np.bincount`, offset per leading cell.  `bincount` adds in input order,
-starting from +0.0, which is the table order, so each target coefficient
-is the same sequence of additions as a loop over the table, bit for bit;
-a truncated table is a subsequence of the full one that keeps every entry
-of the targets it keeps, so truncation changes no coefficient that is
-read.  Values of sin, cos, sinh, cosh and integer powers are taken per
-element with Python's `math`, as for a single jet.
+`np.bincount`, offset per leading cell (the offset index is built once per
+degree and cell count).  `bincount` adds in input order, starting from
++0.0, which is the table order, so each target coefficient is the same
+sequence of additions as a loop over the table, bit for bit; a truncated
+table is a subsequence of the full one that keeps every entry of the
+targets it keeps, so truncation changes no coefficient that is read.
+`sum` adds along axes in the same sequential order.
+
+Smooth functions compose through the powers h, h^2, h^3 of a jet's
+nilpotent part.  `sincos` and `sinhcosh` share those powers between the two
+functions and return both, stacked on a new leading axis; each is bitwise
+the single function.  Values of sin, cos, sinh, cosh and integer powers
+are taken per element with Python's `math`, as for a single jet.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from itertools import product
 
@@ -101,6 +108,15 @@ def _deriv_table(var: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 #: _DERIV[var] = (target, source, power): d/du_var sends the coefficient of
 #: u^alpha, times alpha[var], to the coefficient of u^(alpha - e_var).
 _DERIV = [_deriv_table(var) for var in range(NVARS)]
+
+
+@functools.lru_cache(maxsize=64)
+def _flat_target(deg: int, cells: int) -> np.ndarray:
+    """Flat target of each term of a degree-`deg` product over `cells`
+    leading cells: its coefficient, offset by its cell."""
+    flat = np.add.outer(np.arange(0, cells * _NCOEFF, _NCOEFF), _MUL[deg][2]).ravel()
+    flat.flags.writeable = False
+    return flat
 
 
 def partials(jet: "TJet", order: int) -> np.ndarray:
@@ -184,12 +200,13 @@ class TJet:
 
     def sum(self, axes: int = 1) -> "TJet":
         """Sum over the last `axes` leading axes, term by term in row-major
-        order from +0.0, as a Python loop adds."""
+        order from +0.0, as a Python loop adds.
+
+        `np.cumsum` adds sequentially from the first term; adding +0.0 to
+        its total turns an all-(-0.0) sum into +0.0, as a loop from +0.0 does.
+        """
         c = self.c.reshape(self.c.shape[: -1 - axes] + (-1, _NCOEFF))
-        s = np.zeros(c.shape[:-2] + (_NCOEFF,))
-        for k in range(c.shape[-2]):
-            s = s + c[..., k, :]
-        return TJet(s, self.deg)
+        return TJet(np.cumsum(c, axis=-2)[..., -1, :] + 0.0, self.deg)
 
     # ---------- arithmetic ----------
 
@@ -224,13 +241,11 @@ class TJet:
         if not isinstance(other, TJet):
             return TJet(self.c * TJet._scale(other), self.deg)
         deg = min(self.deg, other.deg)
-        left, right, target = _MUL[deg]
+        left, right, _ = _MUL[deg]
         terms = self.c[..., left] * other.c[..., right]
         lead = terms.shape[:-1]
         cells = math.prod(lead)
-        # flat target of each term: its coefficient, offset by its leading cell
-        flat = np.add.outer(np.arange(0, cells * _NCOEFF, _NCOEFF), target).ravel()
-        out = np.bincount(flat, weights=terms.ravel(), minlength=cells * _NCOEFF)
+        out = np.bincount(_flat_target(deg, cells), weights=terms.ravel(), minlength=cells * _NCOEFF)
         return TJet(out.reshape(lead + (_NCOEFF,)), deg)
 
     __rmul__ = __mul__
@@ -249,13 +264,15 @@ class TJet:
         """Taylor composition with f given its derivatives d[k] = f^(k)(value).
 
         Exact at ORDER = 3 because the nilpotent part h satisfies h^4 = 0.
+        The powers of h are formed once, so derivatives stacked on a new
+        leading axis (shape (F,) + self.shape) compose F functions at once.
         """
         h = TJet(self.c.copy(), self.deg)
         h.c[..., 0] = 0.0
-        out = TJet.constant(d[0])
-        term = TJet.constant(1.0)
+        out = TJet.constant(d[0]) + h * d[1]
+        term = h
         fact = 1.0
-        for k in range(1, ORDER + 1):
+        for k in range(2, ORDER + 1):
             term = term * h
             fact *= k
             out = out + term * (d[k] / fact)
@@ -269,6 +286,11 @@ class TJet:
         s, co = _elementwise(math.sin, self.value), _elementwise(math.cos, self.value)
         return self._compose([co, -s, -co, s])
 
+    def sincos(self) -> "TJet":
+        """sin and cos in one composition, stacked on a new leading axis."""
+        s, co = _elementwise(math.sin, self.value), _elementwise(math.cos, self.value)
+        return self._compose([np.stack(d) for d in ((s, co), (co, -s), (-s, -co), (-co, s))])
+
     def sinh(self) -> "TJet":
         s, co = _elementwise(math.sinh, self.value), _elementwise(math.cosh, self.value)
         return self._compose([s, co, s, co])
@@ -276,6 +298,11 @@ class TJet:
     def cosh(self) -> "TJet":
         s, co = _elementwise(math.sinh, self.value), _elementwise(math.cosh, self.value)
         return self._compose([co, s, co, s])
+
+    def sinhcosh(self) -> "TJet":
+        """sinh and cosh in one composition, stacked on a new leading axis."""
+        s, co = _elementwise(math.sinh, self.value), _elementwise(math.cosh, self.value)
+        return self._compose([np.stack(d) for d in ((s, co), (co, s), (s, co), (co, s))])
 
     def sqrt(self) -> "TJet":
         v = self.value

@@ -44,11 +44,16 @@ class ModelReference:
     nabla_xi_xi: np.ndarray
 
 
+#: d_ik d_jl - d_il d_jk, the curvature tensor of unit constant curvature
+#: up to sign.
+_DD = np.einsum("ik,jl->ijkl", np.eye(DIM), np.eye(DIM)) - np.einsum(
+    "il,jk->ijkl", np.eye(DIM), np.eye(DIM)
+)
+
+
 def _constant_curvature(sign: float, r: float) -> np.ndarray:
     """R[i,j,k,l] = s (d_ik d_jl - d_il d_jk) with s = sign / r^2."""
-    d = np.eye(DIM)
-    s = sign / r**2
-    return s * (np.einsum("ik,jl->ijkl", d, d) - np.einsum("il,jk->ijkl", d, d))
+    return (sign / r**2) * _DD
 
 
 def _s1_reference(r: float, u: np.ndarray) -> ModelReference:

@@ -32,7 +32,12 @@ REPORT_EPS = 1e-12
 @dataclass(frozen=True, eq=False)
 class PointAnalysis:
     """Every stage of the pipeline at one point, with its identity residuals
-    and the closed-form targets they are checked against."""
+    and the closed-form targets they are checked against.
+
+    `_batches` builds one for a whole chunk of points: then every array,
+    scalar and residual carries a leading point axis, and `label`,
+    `reference` and `status` are lists with one entry per point.
+    """
 
     structure: AprStructure
     field: frame.StructureField
@@ -85,7 +90,12 @@ def analyze_points(points: Sequence[ModelPoint], tol: float) -> list[PointAnalys
     result for that point alone.  If a chunk raises, it is run again one
     point at a time, so the error raised is the first failing point's own.
     """
-    return [a for chunk in _chunked(points) for a in _analyze_chunk(chunk, tol)]
+    return [
+        _point(b, n)
+        for chunk in _chunked(points)
+        for b in _batches(chunk, tol)
+        for n in range(len(b.status))
+    ]
 
 
 def analyze_point(p: ModelPoint, tol: float) -> PointAnalysis:
@@ -97,9 +107,9 @@ def analyze_point(p: ModelPoint, tol: float) -> PointAnalysis:
 _PLANES = tuple((np.eye(DIM)[a], np.eye(DIM)[b]) for a, b in ((0, 1), (0, 2), (1, 2)))
 
 
-def _analyze_chunk(chunk: list[ModelPoint], tol: float) -> list[PointAnalysis]:
-    """The pipeline at the points of one chunk, each stage called once for
-    all of them; then each point's analysis is sliced out."""
+def _batches(chunk: list[ModelPoint], tol: float) -> list[PointAnalysis]:
+    """The batched analysis of one chunk, each stage called once for all
+    its points; if the chunk raises, one batch per point instead."""
     s = STANDARD
     try:
         jet = immerse(chunk)
@@ -149,53 +159,72 @@ def _analyze_chunk(chunk: list[ModelPoint], tol: float) -> list[PointAnalysis]:
             "ricci_symmetry": tensors.symmetry_defect(rho),
             "space_form": frame.space_form_residual(r4, kappa),
         }
-        tau = [tensors.trace2(t) for t in rho]
-        tau_star = [tensors.trace2(t) for t in rho_star]
-        k = [frame.sectional(r4, x, y) for x, y in _PLANES]
-        d_eta = frame.d_eta(conn)
-        nabla_xi_xi = frame.nabla_xi_xi(conn)
+        batch = PointAnalysis(
+            structure=s,
+            field=sf,
+            connection=conn,
+            f=f,
+            lee=lee,
+            decomposition=decomp,
+            label=labels,
+            nijenhuis=n_f,
+            assoc_nijenhuis=hn_f,
+            curvature=r4,
+            ricci=rho,
+            ricci_star=rho_star,
+            tau=np.trace(rho, axis1=-2, axis2=-1),
+            tau_star=np.trace(rho_star, axis1=-2, axis2=-1),
+            k=tuple(frame.sectional(r4, x, y) for x, y in _PLANES),
+            kappa=kappa,
+            d_eta=frame.d_eta(conn),
+            nabla_xi_xi=frame.nabla_xi_xi(conn),
+            reference=refs,
+            residuals=residuals,
+            status=[
+                "PASS" if worst <= tol else "FAIL"
+                for worst in functools.reduce(np.maximum, residuals.values())
+            ],
+        )
     except (ValueError, ArithmeticError, RuntimeWarning):
         # RuntimeWarning is raised only where warnings are errors; a batched
         # stage meets one point's overflow before another point's error
         if len(chunk) == 1:
             raise
-        return [a for p in chunk for a in _analyze_chunk([p], tol)]
+        return [b for p in chunk for b in _batches([p], tol)]
+    return [batch]
 
-    out = []
-    for n, p in enumerate(chunk):
-        res = {name: float(v[n]) for name, v in residuals.items()}
-        out.append(
-            PointAnalysis(
-                structure=s,
-                field=frame.StructureField(c=sf.c[n], dc=sf.dc[n]),
-                connection=frame.ConnectionCoeffs(gamma=conn.gamma[n], dgamma=conn.dgamma[n]),
-                f=f[n],
-                lee=classifier.LeeForms(
-                    theta=lee.theta[n], theta_star=lee.theta_star[n], omega=lee.omega[n]
-                ),
-                decomposition=classifier.FDecomposition(
-                    components={sid: t[n] for sid, t in decomp.components.items()},
-                    params={key: float(v[n]) for key, v in decomp.params.items()},
-                    residual=res["class_decomposition"],
-                ),
-                label=labels[n],
-                nijenhuis=n_f[n],
-                assoc_nijenhuis=hn_f[n],
-                curvature=r4[n],
-                ricci=rho[n],
-                ricci_star=rho_star[n],
-                tau=tau[n],
-                tau_star=tau_star[n],
-                k=tuple(float(kab[n]) for kab in k),
-                kappa=float(kappa[n]),
-                d_eta=d_eta[n],
-                nabla_xi_xi=nabla_xi_xi[n],
-                reference=refs[n],
-                residuals=res,
-                status="PASS" if max(res.values()) <= tol else "FAIL",
-            )
-        )
-    return out
+
+def _point(b: PointAnalysis, n: int) -> PointAnalysis:
+    """Point n of a batched analysis (Python floats for its scalars)."""
+    d = b.decomposition
+    return PointAnalysis(
+        structure=b.structure,
+        field=b.field[n],
+        connection=b.connection[n],
+        f=b.f[n],
+        lee=classifier.LeeForms(theta=b.lee.theta[n], theta_star=b.lee.theta_star[n],
+                                omega=b.lee.omega[n]),
+        decomposition=classifier.FDecomposition(
+            components={sid: t[n] for sid, t in d.components.items()},
+            params={key: float(v[n]) for key, v in d.params.items()},
+            residual=float(d.residual[n]),
+        ),
+        label=b.label[n],
+        nijenhuis=b.nijenhuis[n],
+        assoc_nijenhuis=b.assoc_nijenhuis[n],
+        curvature=b.curvature[n],
+        ricci=b.ricci[n],
+        ricci_star=b.ricci_star[n],
+        tau=float(b.tau[n]),
+        tau_star=float(b.tau_star[n]),
+        k=tuple(float(kab[n]) for kab in b.k),
+        kappa=float(b.kappa[n]),
+        d_eta=b.d_eta[n],
+        nabla_xi_xi=b.nabla_xi_xi[n],
+        reference=b.reference[n],
+        residuals={name: float(v[n]) for name, v in b.residuals.items()},
+        status=b.status[n],
+    )
 
 
 def _entries(name: str, t: np.ndarray) -> dict[str, float]:
@@ -255,42 +284,63 @@ def curvature_report(p: ModelPoint, tol: float) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _verify_checks(p: ModelPoint, a: PointAnalysis, tol: float) -> dict[str, float]:
-    """All identity residuals at one point, including closed-form targets."""
-    ref = a.reference
+def _checks(model: str, a: PointAnalysis, tol: float) -> dict[str, float]:
+    """Every identity residual of a batched analysis, closed-form targets
+    included, each maximised over the batch's points."""
+    refs = a.reference
+    ref = {
+        name: np.array([getattr(r, name) for r in refs])
+        for name in ("gamma", "f", "nijenhuis", "assoc_nijenhuis", "curvature", "ricci",
+                     "ricci_star", "tau", "tau_star", "sectional", "d_eta", "nabla_xi_xi")
+    }
+    params = a.decomposition.params
+    components = a.decomposition.components
     checks = dict(a.residuals)
     checks.update(
         {
-            "gamma_vs_closed_form": max_abs(a.connection.gamma - ref.gamma),
-            "f_vs_closed_form": max_abs(a.f - ref.f),
-            "nijenhuis_vs_closed_form": max_abs(a.nijenhuis - ref.nijenhuis),
-            "assoc_nijenhuis_vs_closed_form": max_abs(a.assoc_nijenhuis - ref.assoc_nijenhuis),
-            "curvature_vs_closed_form": max_abs(a.curvature - ref.curvature),
-            "ricci_vs_closed_form": max_abs(a.ricci - ref.ricci),
-            "ricci_star_vs_closed_form": max_abs(a.ricci_star - ref.ricci_star),
-            "tau_vs_closed_form": abs(a.tau - ref.tau),
-            "tau_star_vs_closed_form": abs(a.tau_star - ref.tau_star),
-            "sectional_vs_closed_form": max(abs(k - ref.sectional) for k in a.k),
-            "lee_params_vs_closed_form": max(
-                abs(a.decomposition.params[key] - val) for key, val in ref.lee_params.items()
+            "gamma_vs_closed_form": max_abs(a.connection.gamma - ref["gamma"], 3),
+            "f_vs_closed_form": max_abs(a.f - ref["f"], 3),
+            "nijenhuis_vs_closed_form": max_abs(a.nijenhuis - ref["nijenhuis"], 3),
+            "assoc_nijenhuis_vs_closed_form": max_abs(
+                a.assoc_nijenhuis - ref["assoc_nijenhuis"], 3
             ),
-            "class_label": 0.0 if a.label.classes == ref.classes else 1.0,
-            "class_components_nonvanishing": 0.0
-            if all(max_abs(a.decomposition.components[sid]) > tol for sid in ref.classes)
-            else 1.0,
-            "d_eta_vs_closed_form": max_abs(a.d_eta - ref.d_eta),
-            "nabla_xi_xi_vs_closed_form": max_abs(a.nabla_xi_xi - ref.nabla_xi_xi),
+            "curvature_vs_closed_form": max_abs(a.curvature - ref["curvature"], 4),
+            "ricci_vs_closed_form": max_abs(a.ricci - ref["ricci"], 2),
+            "ricci_star_vs_closed_form": max_abs(a.ricci_star - ref["ricci_star"], 2),
+            "tau_vs_closed_form": np.abs(a.tau - ref["tau"]),
+            "tau_star_vs_closed_form": np.abs(a.tau_star - ref["tau_star"]),
+            "sectional_vs_closed_form": max_abs(
+                np.stack(a.k, axis=-1) - ref["sectional"][:, None], 1
+            ),
+            "lee_params_vs_closed_form": max_abs(
+                np.stack(
+                    [params[key] - [r.lee_params[key] for r in refs] for key in refs[0].lee_params],
+                    axis=-1,
+                ),
+                1,
+            ),
+            "class_label": np.array(
+                [0.0 if label.classes == r.classes else 1.0 for label, r in zip(a.label, refs)]
+            ),
+            # the points of a chunk share one model, so one class list
+            "class_components_nonvanishing": np.where(
+                np.all([max_abs(components[sid], 3) > tol for sid in refs[0].classes], axis=0),
+                0.0,
+                1.0,
+            ),
+            "d_eta_vs_closed_form": max_abs(a.d_eta - ref["d_eta"], 2),
+            "nabla_xi_xi_vs_closed_form": max_abs(a.nabla_xi_xi - ref["nabla_xi_xi"], 1),
         }
     )
-    if p.model == "s1":
+    if model == "s1":
         # N = -d eta (x) xi on this model
         checks["n_plus_deta_xi"] = max_abs(
-            a.nijenhuis + np.einsum("ij,k->ijk", a.d_eta, a.structure.eta)
+            a.nijenhuis + np.einsum("...ij,k->...ijk", a.d_eta, a.structure.eta), 3
         )
     else:
-        checks["d_eta_zero"] = max_abs(a.d_eta)
-        checks["nabla_xi_xi_zero"] = max_abs(a.nabla_xi_xi)
-    return checks
+        checks["d_eta_zero"] = max_abs(a.d_eta, 2)
+        checks["nabla_xi_xi_zero"] = max_abs(a.nabla_xi_xi, 1)
+    return {name: float(np.max(v)) for name, v in checks.items()}
 
 
 def run_verify(model: str, r: float, samples: int, seed: int, tol: float) -> dict:
@@ -298,8 +348,8 @@ def run_verify(model: str, r: float, samples: int, seed: int, tol: float) -> dic
     points = sample_points(model, samples, seed, r=r)
     worst: dict[str, float] = {}
     for chunk in _chunked(points):
-        for p, a in zip(chunk, _analyze_chunk(chunk, tol)):
-            for name, value in _verify_checks(p, a, tol).items():
+        for b in _batches(chunk, tol):
+            for name, value in _checks(model, b, tol).items():
                 worst[name] = max(worst.get(name, 0.0), value)
     checks = [
         {"name": name, "max_residual": value, "pass": value <= tol}
@@ -336,16 +386,14 @@ def format_scalar(x) -> str:
     return str(x)
 
 
+#: JSON string escapes: \" and \\ for quote and backslash, \u00XX below 0x20.
+_JSON_ESCAPES = str.maketrans(
+    {'"': '\\"', "\\": "\\\\", **{chr(c): f"\\u{c:04x}" for c in range(0x20)}}
+)
+
+
 def _json_escape(s: str) -> str:
-    out = []
-    for ch in s:
-        if ch in ('"', "\\"):
-            out.append("\\" + ch)
-        elif ord(ch) < 0x20:
-            out.append(f"\\u{ord(ch):04x}")
-        else:
-            out.append(ch)
-    return '"' + "".join(out) + '"'
+    return '"' + s.translate(_JSON_ESCAPES) + '"'
 
 
 def render_json(obj, indent: int = 0) -> str:

@@ -1,5 +1,7 @@
 """A batch is its points: analyze_points over a chunk equals analyze_point at
-each of its points, bit for bit, or both raise the first failing point's error.
+each of its points, bit for bit, or both raise the first failing point's error;
+and verify's batched fold of a chunk's checks equals folding them point by
+point.
 
 Points are drawn from the whole accepted domain of both models, including
 parameters next to the excluded loci and s2 parameters far outside the
@@ -8,13 +10,15 @@ there too.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from paraframe.hypersurface import EXCLUSION, TWO_PI, DomainError, ModelPoint
-from paraframe.report import CHUNK, analyze_point, analyze_points
+from paraframe.hypersurface import EXCLUSION, TWO_PI, DomainError, ModelPoint, sample_points
+from paraframe.report import CHUNK, analyze_point, analyze_points, run_verify
+from paraframe.tensors import max_abs
 
 RADII = (1e-3, 1.0, 2.0, 1e4)
 TOL = 1e-9
@@ -101,3 +105,72 @@ def test_batch_equals_its_points(chunk):
             assert type(mine) is type(value), key
             assert np.shape(mine) == np.shape(value), key
             assert np.array_equal(_bits(mine), _bits(value)), key
+
+
+def _point_checks(model: str, a, tol: float) -> dict[str, float]:
+    """Every verify check at one point, from its PointAnalysis, one point at
+    a time: the point-by-point definition the batched fold must match."""
+    ref = a.reference
+    checks = dict(a.residuals)
+    checks.update(
+        {
+            "gamma_vs_closed_form": max_abs(a.connection.gamma - ref.gamma),
+            "f_vs_closed_form": max_abs(a.f - ref.f),
+            "nijenhuis_vs_closed_form": max_abs(a.nijenhuis - ref.nijenhuis),
+            "assoc_nijenhuis_vs_closed_form": max_abs(a.assoc_nijenhuis - ref.assoc_nijenhuis),
+            "curvature_vs_closed_form": max_abs(a.curvature - ref.curvature),
+            "ricci_vs_closed_form": max_abs(a.ricci - ref.ricci),
+            "ricci_star_vs_closed_form": max_abs(a.ricci_star - ref.ricci_star),
+            "tau_vs_closed_form": abs(a.tau - ref.tau),
+            "tau_star_vs_closed_form": abs(a.tau_star - ref.tau_star),
+            "sectional_vs_closed_form": max(abs(k - ref.sectional) for k in a.k),
+            "lee_params_vs_closed_form": max(
+                abs(a.decomposition.params[key] - val) for key, val in ref.lee_params.items()
+            ),
+            "class_label": 0.0 if a.label.classes == ref.classes else 1.0,
+            "class_components_nonvanishing": 0.0
+            if all(max_abs(a.decomposition.components[sid]) > tol for sid in ref.classes)
+            else 1.0,
+            "d_eta_vs_closed_form": max_abs(a.d_eta - ref.d_eta),
+            "nabla_xi_xi_vs_closed_form": max_abs(a.nabla_xi_xi - ref.nabla_xi_xi),
+        }
+    )
+    if model == "s1":
+        checks["n_plus_deta_xi"] = max_abs(
+            a.nijenhuis + np.einsum("ij,k->ijk", a.d_eta, a.structure.eta)
+        )
+    else:
+        checks["d_eta_zero"] = max_abs(a.d_eta)
+        checks["nabla_xi_xi_zero"] = max_abs(a.nabla_xi_xi)
+    return checks
+
+
+def _folded_points(chunk: list[ModelPoint], tol: float) -> list[tuple[str, int, bool]]:
+    worst: dict[str, float] = {}
+    for a in [analyze_point(p, tol) for p in chunk]:
+        for name, value in _point_checks(chunk[0].model, a, tol).items():
+            worst[name] = max(worst.get(name, 0.0), value)
+    return [(name, _bits(v).item(), v <= tol) for name, v in worst.items()]
+
+
+def _folded_batch(chunk: list[ModelPoint], tol: float) -> list[tuple[str, int, bool]]:
+    # run_verify over exactly these points: one chunk, in order
+    with mock.patch("paraframe.report.sample_points", lambda *args, **kw: chunk):
+        checks = run_verify(chunk[0].model, 1.0, len(chunk), 0, tol)["checks"]
+    for c in checks:
+        assert type(c["max_residual"]) is float and type(c["pass"]) is bool
+    return [(c["name"], _bits(c["max_residual"]).item(), c["pass"]) for c in checks]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(chunks(), st.sampled_from((TOL, 1e-30)))
+@example([ModelPoint("s2", 1.0, [0.5, 1.0, 20.0]), ModelPoint("s2", 1e4, [0.5, 1.0, 709.0])], TOL)
+# chunks that pass: the sampled box, where every check is within 1e-9
+@example(sample_points("s1", CHUNK, seed=3), TOL)
+@example(sample_points("s2", 3, seed=4, r=2.0), TOL)
+def test_verify_fold_equals_its_points(chunk, tol):
+    singles, single_error = _outcome(lambda: _folded_points(chunk, tol))
+    batch, batch_error = _outcome(lambda: _folded_batch(chunk, tol))
+    assert batch_error == single_error
+    assert batch == singles

@@ -4,6 +4,13 @@ import numpy as np
 import pytest
 
 from conftest import pipeline
+from paraframe.hypersurface import (
+    EUCLIDEAN,
+    bracket_field,
+    immerse,
+    orthonormal_frame,
+    sample_points,
+)
 from paraframe.frame import (
     ConnectionCoeffs,
     StructureField,
@@ -17,6 +24,7 @@ from paraframe.frame import (
     sectional,
     space_form_residual,
 )
+from paraframe.report import analyze_point
 from paraframe.tensors import max_abs
 
 E = np.eye(3)
@@ -196,3 +204,42 @@ def test_curvature_symmetries_models(batches):
     for batch in batches.values():
         for item in batch:
             assert item["a"].residuals["curvature_symmetries"] <= 1e-9
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_user_fields_reject_non_finite(bad):
+    c, dc = np.zeros((2, 3, 3, 3)), np.zeros((2, 3, 3, 3, 3))
+    c[1, 0, 1, 2] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        StructureField(c=c, dc=dc)
+    with pytest.raises(ValueError, match="non-finite"):
+        ConnectionCoeffs(gamma=c, dgamma=dc)
+
+
+def _read_only_all_the_way(a: np.ndarray) -> bool:
+    """a, and every array whose memory it views, is read-only."""
+    while isinstance(a, np.ndarray):
+        if a.flags.writeable:
+            return False
+        a = a.base
+    return True
+
+
+def test_point_fields_are_frozen_views():
+    # a point's field and connection are views into the checked, frozen batch
+    points = sample_points("s1", 3, seed=5)
+    sf = bracket_field(orthonormal_frame(immerse(points), EUCLIDEAN))
+    conn = koszul(sf)
+    for n, p in enumerate(points):
+        a = analyze_point(p, 1e-9)
+        arrays = (a.field.c, a.field.dc, a.connection.gamma, a.connection.dgamma,
+                  sf[n].c, sf[n].dc, conn[n].gamma, conn[n].dgamma)
+        assert all(_read_only_all_the_way(x) for x in arrays)
+        assert np.array_equal(sf[n].dc, a.field.dc)
+        assert np.array_equal(conn[n].gamma, a.connection.gamma)
+    picked = sf[[0, 2]]  # an advanced index copies; the copy is frozen too
+    assert picked.c.shape == (2, 3, 3, 3) and _read_only_all_the_way(picked.dc)
+    with pytest.raises(IndexError, match="point axes"):
+        sf[0, 1]
+    with pytest.raises(IndexError, match="point axes"):
+        zero_field()[0]

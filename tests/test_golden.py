@@ -63,10 +63,14 @@ def _cases() -> dict[str, list[str]]:
         cases[f"sweep_s1_{fmt}"] = [
             "sweep", "--model", "s1", "--r", "1", "--grid", SWEEP_GRID, "--format", fmt,
         ]
-    # runs that cross analysis chunk boundaries: 19 samples, and a 45-row
-    # grid whose u1 = 0 rows (9 of them) sit between the analysed rows
+    # runs that cross analysis chunk boundaries: 19 samples (chunks of 8, 8
+    # and 3) on either model, and a 45-row grid whose u1 = 0 rows (9 of
+    # them) sit between the analysed rows
     cases["verify_s2_chunks_json"] = [
         "verify", "--model", "s2", "--r", "2", "--samples", "19", "--seed", "5", "--format", "json",
+    ]
+    cases["verify_s1_chunks_json"] = [
+        "verify", "--model", "s1", "--samples", "19", "--seed", "5", "--format", "json",
     ]
     cases["sweep_s2_chunks_csv"] = [
         "sweep", "--model", "s2", "--r", "1", f"--grid={CHUNK_GRID}", "--format", "csv",

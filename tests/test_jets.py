@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from paraframe.jets import TJet, partials
+from paraframe.hypersurface import MODELS, immerse, orthonormal_frame, sample_points
+from paraframe.jets import _MONOMIALS, TJet, partials
 
 
 def test_variable_seed():
@@ -85,3 +86,57 @@ def test_domain_errors():
         u.sqrt()
     with pytest.raises(ZeroDivisionError):
         TJet.constant(0.0).reciprocal()
+
+
+def _bits(x) -> np.ndarray:
+    return np.ascontiguousarray(x, dtype=float).view(np.int64)
+
+
+def _random_jet(seed: int, shape: tuple[int, ...], deg: int) -> TJet:
+    rng = np.random.default_rng(seed)
+    c = rng.normal(size=shape + (20,)) * 10.0 ** rng.integers(-3, 4, size=shape + (20,))
+    c[..., 0] = rng.uniform(-3.0, 3.0, size=shape)
+    return TJet(c, deg)
+
+
+@pytest.mark.parametrize("deg", [1, 2, 3])
+@pytest.mark.parametrize("shape", [(), (5,), (2, 3)])
+def test_paired_functions_are_the_single_ones(shape, deg):
+    x = _random_jet(deg, shape, deg)
+    for pair, singles in ((x.sincos(), (x.sin(), x.cos())), (x.sinhcosh(), (x.sinh(), x.cosh()))):
+        assert pair.shape == (2,) + shape
+        for k, single in enumerate(singles):
+            assert pair[k].deg == single.deg == deg
+            assert np.array_equal(_bits(pair[k].c), _bits(single.c))
+
+
+def _loop_sum(c: np.ndarray, axes: int) -> np.ndarray:
+    c = c.reshape(c.shape[: -1 - axes] + (-1, 20))
+    s = np.zeros(c.shape[:-2] + (20,))
+    for k in range(c.shape[-2]):
+        s = s + c[..., k, :]
+    return s
+
+
+@pytest.mark.parametrize("axes", [1, 2])
+def test_sum_is_the_sequential_loop(axes):
+    c = _random_jet(7, (4, 3, 3), 3).c
+    c[0] = -0.0  # cells whose terms are all -0.0 sum to +0.0
+    c[1, 0, 0, 5] = 1e16  # order matters: 1e16 + 1 + ... loses the ones
+    c[1, 0, 1:, 5] = 1.0
+    c[1, 1:, :, 5] = 1.0
+    got = TJet(c, 3).sum(axes).c
+    want = _loop_sum(c, axes)
+    assert np.array_equal(_bits(got), _bits(want))
+    assert not np.any(np.signbit(got[0]))
+
+
+def test_frame_jets_vanish_above_their_degree():
+    # the compositions (sqrt, reciprocal) of Gram-Schmidt start their powers
+    # at the nilpotent part; no coefficient above degree 2 may leak through
+    above = [n for n, alpha in enumerate(_MONOMIALS) if sum(alpha) > 2]
+    for model in MODELS:
+        points = sample_points(model, 5, seed=2)
+        fc = orthonormal_frame(immerse(points), MODELS[model].signature)
+        assert fc.jets.deg == 2
+        assert np.all(fc.jets.c[..., above] == 0.0)
