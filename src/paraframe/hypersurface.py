@@ -27,7 +27,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .frame import StructureField
-from .jets import TJet, partials
+from .jets import TJet, _cut, partials
 from .tensors import DIM, max_abs
 
 #: Points closer than this to an excluded parameter locus are rejected;
@@ -321,7 +321,7 @@ def bracket_field(fc: FrameCoeffs) -> StructureField:
         b = b + plus[..., l, :] - minus[..., l, :]
 
     # frame components: sum_k C_ij^k a[k, m] = B_ij^m, by Cramer's rule
-    mat = TJet(np.swapaxes(aj.c, -3, -2), 1)  # [..., m, k]
+    mat = TJet(np.swapaxes(_cut(aj.c, 1), -3, -2), 1)  # [..., m, k]
     inv_det = _det3(mat).reciprocal()
     column = np.eye(DIM, dtype=bool)[:, None, :, None]  # [col, row, k]
     repl = np.where(column, b.c[..., :, None, :, None, :], mat.c[..., None, None, :, :, :])

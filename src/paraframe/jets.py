@@ -9,26 +9,31 @@ k jet-differentiations of degree-3 data is valid to degree 3 - k).
 
 Coefficients are stored against the graded list of multi-indices
 (1, u0, u1, u2, u0^2, u0*u1, ...); the coefficient of the monomial u^alpha
-is d^alpha f / alpha!.  A jet's coefficient array has shape (..., 20): the
-leading axes index many jets at once (points of a batch, rows and columns
-of a matrix of jets), and every operation acts on all of them in one numpy
-call, broadcasting the leading axes.  `partials` reads the partials of one
-order off such an array, with the derivative axes first.
+is d^alpha f / alpha!.  The leading axes of a coefficient array index many
+jets at once (points of a batch, rows and columns of a matrix of jets), and
+every operation acts on all of them in one numpy call, broadcasting the
+leading axes.  `partials` reads the partials of one order off such an
+array, with the derivative axes first.
 
-Each jet carries `deg`, the degree to which its coefficients are valid;
-coefficients above it are not read.  A product is valid to the smaller of
-its operands' degrees and evaluates only the entries of the product table
-whose target has at most that degree: 84 of them at degree 3 (the
-immersion), 28 at degree 2 (the frame, built from first derivatives) and
-7 at degree 1 (the brackets).  The product gathers both operands over the
-table's index arrays and adds the terms into their targets with one
-`np.bincount`, offset per leading cell (the offset index is built once per
-degree and cell count).  `bincount` adds in input order, starting from
-+0.0, which is the table order, so each target coefficient is the same
-sequence of additions as a loop over the table, bit for bit; a truncated
-table is a subsequence of the full one that keeps every entry of the
-targets it keeps, so truncation changes no coefficient that is read.
-`sum` adds along axes in the same sequential order.
+Each jet carries `deg`, the degree to which its coefficients are valid,
+and stores only those: the graded prefix of _NC[deg] = 1, 4, 10 or 20
+coefficients, so its array has shape (..., _NC[deg]) (the storage of
+truncated Taylor polynomials by degree in Griewank & Walther, *Evaluating
+Derivatives*, ch. 13).  A sum, difference or stack is valid to the
+smallest degree of its operands and cuts the others to it.  A product is
+valid to the smaller of its operands' degrees and evaluates only the
+entries of the product table whose target has at most that degree: 84 of
+them at degree 3 (the immersion), 28 at degree 2 (the frame, built from
+first derivatives) and 7 at degree 1 (the brackets).  The product gathers
+both operands over the table's index arrays and adds the terms into their
+targets with one `np.bincount`, offset per leading cell.  `bincount` adds
+in input order, starting from +0.0, which is the table order, so each
+target coefficient is the same sequence of additions as a loop over the
+table, bit for bit; a truncated table is a subsequence of the full one
+that keeps every entry of the targets it keeps, and no kept target reads
+a coefficient above its own degree, so dropping the coefficients above a
+jet's degree changes no bit of any coefficient that is kept.  `sum` adds
+along axes in the same sequential order.
 
 Smooth functions compose through the powers h, h^2, h^3 of a jet's
 nilpotent part.  `sincos` and `sinhcosh` share those powers between the two
@@ -39,7 +44,6 @@ are taken per element with Python's `math`, as for a single jet.
 
 from __future__ import annotations
 
-import functools
 import math
 from itertools import product
 
@@ -60,7 +64,10 @@ def _build_index() -> list[tuple[int, int, int]]:
 
 _MONOMIALS = _build_index()
 _POS = {alpha: n for n, alpha in enumerate(_MONOMIALS)}
-_NCOEFF = len(_MONOMIALS)
+
+#: _NC[deg]: the coefficients of total degree <= deg, a prefix of the graded
+#: list (1, 4, 10, 20); a jet valid to degree deg stores only these.
+_NC = [sum(1 for alpha in _MONOMIALS if sum(alpha) <= deg) for deg in range(ORDER + 1)]
 
 # (i, j, target) triples with monomial_i * monomial_j = monomial_target,
 # restricted to total degree <= ORDER.
@@ -98,25 +105,41 @@ def _partials_table(order: int) -> tuple[np.ndarray, np.ndarray]:
 _PARTIALS = [_partials_table(order) for order in range(ORDER + 1)]
 
 
-def _deriv_table(var: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    source = [n for n, alpha in enumerate(_MONOMIALS) if alpha[var] > 0]
+def _deriv_table(var: int, deg: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    source = [n for n in range(_NC[deg]) if _MONOMIALS[n][var] > 0]
     target = [_POS[tuple(a - (k == var) for k, a in enumerate(_MONOMIALS[n]))] for n in source]
     power = [_MONOMIALS[n][var] for n in source]
-    return np.array(target), np.array(source), np.array(power)
+    return np.array(target, dtype=np.intp), np.array(source, dtype=np.intp), np.array(power)
 
 
-#: _DERIV[var] = (target, source, power): d/du_var sends the coefficient of
-#: u^alpha, times alpha[var], to the coefficient of u^(alpha - e_var).
-_DERIV = [_deriv_table(var) for var in range(NVARS)]
+#: _DERIV[var][deg] = (target, source, power): d/du_var of a degree-deg jet
+#: sends the coefficient of u^alpha, times alpha[var], to the coefficient of
+#: u^(alpha - e_var); every target is below _NC[deg - 1].
+_DERIV = [[_deriv_table(var, deg) for deg in range(ORDER + 1)] for var in range(NVARS)]
 
 
-@functools.lru_cache(maxsize=64)
-def _flat_target(deg: int, cells: int) -> np.ndarray:
+def _flat_targets(deg: int, cells: int) -> np.ndarray:
     """Flat target of each term of a degree-`deg` product over `cells`
     leading cells: its coefficient, offset by its cell."""
-    flat = np.add.outer(np.arange(0, cells * _NCOEFF, _NCOEFF), _MUL[deg][2]).ravel()
-    flat.flags.writeable = False
-    return flat
+    n = _NC[deg]
+    return np.add.outer(np.arange(0, cells * n, n), _MUL[deg][2]).ravel()
+
+
+#: The flat targets of the first k cells do not depend on the cell count,
+#: so a product over at most _FLAT_CELLS cells reads a prefix of _FLAT[deg],
+#: built at import; a larger one builds its own.  A point's largest product
+#: has 27 cells, so every product of up to 9 points reads the table, whose
+#: 0.24 MB do not grow with CHUNK.
+_FLAT_CELLS = 256
+_FLAT = [_flat_targets(deg, _FLAT_CELLS) for deg in range(ORDER + 1)]
+for _flat in _FLAT:
+    _flat.flags.writeable = False
+
+
+def _cut(c: np.ndarray, deg: int) -> np.ndarray:
+    """The coefficients of c through degree deg: a view of its first _NC[deg]."""
+    n = _NC[deg]
+    return c if c.shape[-1] == n else c[..., :n]
 
 
 def partials(jet: "TJet", order: int) -> np.ndarray:
@@ -136,9 +159,12 @@ def _elementwise(fn, x: np.ndarray) -> np.ndarray:
 
 
 class TJet:
-    """Taylor jets through order 3: coefficient array c of shape (..., 20).
+    """Taylor jets through order 3: coefficient array c of shape
+    (..., _NC[deg]), the coefficients through degree deg.
 
-    deg is the degree through which the coefficients are valid.
+    deg is the degree through which the coefficients are valid.  The
+    array is stored as given: one with more coefficients is cut with `_cut`
+    before it is wrapped.
     """
 
     __slots__ = ("c", "deg")
@@ -155,7 +181,7 @@ class TJet:
     @staticmethod
     def constant(x) -> "TJet":
         x = np.asarray(x, dtype=float)
-        c = np.zeros(x.shape + (_NCOEFF,))
+        c = np.zeros(x.shape + (_NC[ORDER],))
         c[..., 0] = x
         return TJet(c)
 
@@ -173,8 +199,9 @@ class TJet:
         A negative axis counts from the last leading axis, as for arrays of
         the leading shape.
         """
-        cs = np.broadcast_arrays(*(j.c for j in jets))
-        return TJet(np.stack(cs, axis=axis - 1 if axis < 0 else axis), min(j.deg for j in jets))
+        deg = min(j.deg for j in jets)
+        cs = np.broadcast_arrays(*(_cut(j.c, deg) for j in jets))
+        return TJet(np.stack(cs, axis=axis - 1 if axis < 0 else axis), deg)
 
     # ---------- readout ----------
 
@@ -193,8 +220,10 @@ class TJet:
 
     def deriv(self, var: int) -> "TJet":
         """Partial derivative jet; valid to one degree less than self."""
-        target, source, power = _DERIV[var]
-        c = np.zeros(self.c.shape)
+        if self.deg == 0:
+            raise ValueError("a degree-0 jet has no valid derivative")
+        target, source, power = _DERIV[var][self.deg]
+        c = np.zeros(self.c.shape[:-1] + (_NC[self.deg - 1],))
         c[..., target] = self.c[..., source] * power
         return TJet(c, self.deg - 1)
 
@@ -205,7 +234,7 @@ class TJet:
         `np.cumsum` adds sequentially from the first term; adding +0.0 to
         its total turns an all-(-0.0) sum into +0.0, as a loop from +0.0 does.
         """
-        c = self.c.reshape(self.c.shape[: -1 - axes] + (-1, _NCOEFF))
+        c = self.c.reshape(self.c.shape[: -1 - axes] + (-1, self.c.shape[-1]))
         return TJet(np.cumsum(c, axis=-2)[..., -1, :] + 0.0, self.deg)
 
     # ---------- arithmetic ----------
@@ -216,17 +245,18 @@ class TJet:
 
     def __add__(self, other) -> "TJet":
         other = TJet._coerce(other)
-        return TJet(self.c + other.c, min(self.deg, other.deg))
+        deg = min(self.deg, other.deg)
+        return TJet(_cut(self.c, deg) + _cut(other.c, deg), deg)
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "TJet":
         other = TJet._coerce(other)
-        return TJet(self.c - other.c, min(self.deg, other.deg))
+        deg = min(self.deg, other.deg)
+        return TJet(_cut(self.c, deg) - _cut(other.c, deg), deg)
 
     def __rsub__(self, other) -> "TJet":
-        other = TJet._coerce(other)
-        return TJet(other.c - self.c, min(self.deg, other.deg))
+        return TJet._coerce(other) - self
 
     def __neg__(self) -> "TJet":
         return TJet(-self.c, self.deg)
@@ -241,12 +271,17 @@ class TJet:
         if not isinstance(other, TJet):
             return TJet(self.c * TJet._scale(other), self.deg)
         deg = min(self.deg, other.deg)
-        left, right, _ = _MUL[deg]
+        left, right, target = _MUL[deg]
         terms = self.c[..., left] * other.c[..., right]
         lead = terms.shape[:-1]
         cells = math.prod(lead)
-        out = np.bincount(_flat_target(deg, cells), weights=terms.ravel(), minlength=cells * _NCOEFF)
-        return TJet(out.reshape(lead + (_NCOEFF,)), deg)
+        n = _NC[deg]
+        if cells <= _FLAT_CELLS:
+            flat = _FLAT[deg][: cells * len(target)]
+        else:
+            flat = _flat_targets(deg, cells)
+        out = np.bincount(flat, weights=terms.ravel(), minlength=cells * n)
+        return TJet(out.reshape(lead + (n,)), deg)
 
     __rmul__ = __mul__
 

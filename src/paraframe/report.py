@@ -62,10 +62,14 @@ class PointAnalysis:
     status: str
 
 
-#: Points per call of the jet stages.  The stages' arrays grow with the
-#: chunk, so this bounds their transient memory; beyond a few points the
-#: per-call overhead they amortise is already small.
-CHUNK = 8
+#: Points per call of the pipeline.  On a 2-core VM (Python 3.11, numpy 2.4)
+#: a `_batches` call costs about 3 ms plus 0.2 ms per point, on s1 and s2
+#: alike, so at 8 points the fixed part is still 60% and at 32 a third.
+#: The stages' arrays grow with the chunk, and this bounds their transient
+#: memory: 32 points peak at about 0.8 MB (tracemalloc), and the sweep-grid
+#: benchmark's peak RSS is 2.6% above that of chunks of 8 (BENCH_9.json),
+#: too close to its 5% bound to take 64.
+CHUNK = 32
 
 
 def _chunked(points: Sequence[ModelPoint]) -> Iterator[list[ModelPoint]]:
@@ -138,7 +142,7 @@ def _batches(chunk: list[ModelPoint], tol: float) -> list[PointAnalysis]:
         gram = fc.a @ fc.metric @ np.swapaxes(fc.a, -1, -2)
         s_at_p = AprStructure(phi=s.phi, xi=s.xi, eta=s.eta, metric=gram)
         residuals = {
-            "on_sphere": [sphere_residual(p, z) for p, z in zip(chunk, jet.value)],
+            "on_sphere": np.array([sphere_residual(p, z) for p, z in zip(chunk, jet.value)]),
             "frame_gram": fc.gram_defect(),
             "structure_axioms": verify_axioms(s_at_p).worst,
             "bracket_vs_closed_form": max_abs(sf.c - np.stack([ref.c for ref in refs]), 3),
@@ -229,12 +233,11 @@ def _point(b: PointAnalysis, n: int) -> PointAnalysis:
 
 def _entries(name: str, t: np.ndarray) -> dict[str, float]:
     """Nonzero components keyed like R_0101, in index order."""
-    out = {}
-    for idx in np.ndindex(t.shape):
-        v = float(t[idx])
-        if abs(v) > REPORT_EPS:
-            out[f"{name}_" + "".join(str(i) for i in idx)] = v
-    return out
+    idx = np.nonzero(np.abs(t) > REPORT_EPS)  # row-major
+    return {
+        f"{name}_" + "".join(map(str, i)): v
+        for i, v in zip(zip(*(k.tolist() for k in idx)), t[idx].tolist())
+    }
 
 
 def _class_names(label) -> list[str]:
@@ -506,15 +509,19 @@ def sweep_rows(model: str, r: float, grid: Iterable, tol: float) -> list[dict]:
     """One row per grid point u, in order; domain violations are reported,
     not raised.
 
-    In-domain points are analysed CHUNK at a time, and each row keeps only
-    its own fields, so no analysis outlives its chunk.
+    In-domain points are analysed CHUNK at a time, and each row reads its
+    fields off the chunk's batched analysis, so no analysis outlives its
+    chunk.
     """
     rows: list[dict] = []
     pending: list[tuple[dict, ModelPoint]] = []
 
     def flush():
-        for (row, _), a in zip(pending, analyze_points([p for _, p in pending], tol)):
-            row.update(_sweep_fields(a))
+        if not pending:
+            return
+        fields = [f for b in _batches([p for _, p in pending], tol) for f in _batch_rows(b)]
+        for (row, _), f in zip(pending, fields):
+            row.update(f)
         pending.clear()
 
     for u in grid:
@@ -533,28 +540,42 @@ def sweep_rows(model: str, r: float, grid: Iterable, tol: float) -> list[dict]:
     return rows
 
 
-def _sweep_fields(a: PointAnalysis) -> dict:
-    k01, k02, k12 = a.k
-    row = {
-        "status": a.status,
-        "warning": "",
-        "classes": "+".join(_class_names(a.label)),
-        "is_f0": a.label.is_f0,
-        "class_residual": a.residuals["class_decomposition"],
+#: The fixed curvature columns of a sweep row: the field and component each
+#: reads; a component within REPORT_EPS of 0 reads 0.0, as in `_entries`.
+_SWEEP_ENTRIES = (
+    ("R_0101", "curvature", (0, 1, 0, 1)),
+    ("R_0202", "curvature", (0, 2, 0, 2)),
+    ("R_1212", "curvature", (1, 2, 1, 2)),
+    ("rho_00", "ricci", (0, 0)),
+    ("rho_11", "ricci", (1, 1)),
+    ("rho_22", "ricci", (2, 2)),
+    ("rho_star_12", "ricci_star", (1, 2)),
+)
+
+
+def _batch_rows(b: PointAnalysis) -> list[dict]:
+    """The sweep fields of each point of a batched analysis, in order; every
+    column is read off the batch once, as Python floats."""
+    res = b.residuals
+    columns = {
+        "class_residual": res["class_decomposition"].tolist(),
+        **{key: b.decomposition.params[key].tolist()
+           for key in ("theta_0", "theta_1", "theta_2", "theta_star_0", "omega_1", "omega_2",
+                       "lam", "mu", "nu")},
+        "tau": b.tau.tolist(),
+        "tau_star": b.tau_star.tolist(),
+        **{key: kab.tolist() for key, kab in zip(("k_01", "k_02", "k_12"), b.k)},
+        "space_form_residual": res["space_form"].tolist(),
+        **{key: [v if abs(v) > REPORT_EPS else 0.0 for v in getattr(b, name)[(..., *idx)].tolist()]
+           for key, name, idx in _SWEEP_ENTRIES},
+        # Python max over each point's residuals in their insertion order
+        "max_residual": [max(r) for r in zip(*(v.tolist() for v in res.values()))],
     }
-    for key in ("theta_0", "theta_1", "theta_2", "theta_star_0", "omega_1", "omega_2", "lam", "mu", "nu"):
-        row[key] = a.decomposition.params[key]
-    row.update(tau=a.tau, tau_star=a.tau_star, k_01=k01, k_02=k02, k_12=k12)
-    row["space_form_residual"] = a.residuals["space_form"]
-    entries = {
-        **_entries("R", a.curvature),
-        **_entries("rho", a.ricci),
-        **_entries("rho_star", a.ricci_star),
-    }
-    for key in ("R_0101", "R_0202", "R_1212", "rho_00", "rho_11", "rho_22", "rho_star_12"):
-        row[key] = entries.get(key, 0.0)
-    row["max_residual"] = max(a.residuals.values())
-    return row
+    return [
+        {"status": status, "warning": "", "classes": "+".join(_class_names(label)),
+         "is_f0": label.is_f0, **{key: col[n] for key, col in columns.items()}}
+        for n, (label, status) in enumerate(zip(b.label, b.status))
+    ]
 
 
 def render_sweep_csv(rows: list[dict]) -> str:

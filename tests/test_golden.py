@@ -30,7 +30,7 @@ from paraframe.hypersurface import (
     orthonormal_frame,
     sample_points,
 )
-from paraframe.report import render_csv, render_text
+from paraframe.report import REPORT_EPS, _entries, render_csv, render_text
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -39,6 +39,9 @@ SWEEP_GRID = "0.3:0.9:2,0:3.141592653589793:5,1.1"
 
 #: s2 grid of 5 x 3 x 3 rows; the middle u1 column (u1 = 0) is skipped.
 CHUNK_GRID = "-0.6:0.6:5,0.4:2.0:3,-1:1:3"
+
+#: s1 grid of 12 x 3 x 3 rows; the middle u1 column (u1 = pi/2) is skipped.
+WIDE_GRID = "0.1:6.0:12,1.0:2.141592653589793:3,0.2:5.0:3"
 
 POINTS = {"s1": ("1", "0.3,0.7,1.1"), "s2": ("2", "0.6,1.0,0.5")}
 
@@ -74,6 +77,19 @@ def _cases() -> dict[str, list[str]]:
     ]
     cases["sweep_s2_chunks_csv"] = [
         "sweep", "--model", "s2", "--r", "1", f"--grid={CHUNK_GRID}", "--format", "csv",
+    ]
+    # the same at the wide chunk of a sweep batch (CHUNK = 32): 43 samples
+    # (chunks of 32 and 11) on either model, and a 108-row grid whose 72
+    # in-domain rows span three chunks, with runs of skipped u1 = pi/2 rows
+    # inside them
+    cases["verify_s1_wide_json"] = [
+        "verify", "--model", "s1", "--r", "0.5", "--samples", "43", "--seed", "9", "--format", "json",
+    ]
+    cases["verify_s2_wide_json"] = [
+        "verify", "--model", "s2", "--samples", "43", "--seed", "9", "--format", "json",
+    ]
+    cases["sweep_s1_wide_csv"] = [
+        "sweep", "--model", "s1", "--r", "1", f"--grid={WIDE_GRID}", "--format", "csv",
     ]
     return cases
 
@@ -119,6 +135,28 @@ def test_render_edge_cases():
     assert render_csv(EDGE_REPORT) == 'b,c[0].x,f,g,h\n[],1.5,true,"q,""",[1; 2.5; false]'
     assert render_text({}) == ""
     assert render_text(0.1) == " = 0.10000000000000001"
+
+
+def _loop_entries(name: str, t: np.ndarray) -> dict[str, float]:
+    out = {}
+    for idx in np.ndindex(t.shape):
+        v = float(t[idx])
+        if abs(v) > REPORT_EPS:
+            out[f"{name}_" + "".join(str(i) for i in idx)] = v
+    return out
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (3, 3, 3), (3, 3, 3, 3)])
+def test_entries_is_the_index_loop(shape):
+    rng = np.random.default_rng(len(shape))
+    t = rng.normal(size=shape) * (rng.uniform(size=shape) < 0.5)
+    edge = [REPORT_EPS, -REPORT_EPS, np.nextafter(REPORT_EPS, 1.0), -0.0, np.nan, -np.inf]
+    t.flat[: len(edge)] = edge
+    got, want = _entries("R", t), _loop_entries("R", t)
+    assert list(got) == list(want)
+    assert [(type(v), float(v).hex()) for v in got.values()] == [
+        (type(v), v.hex()) for v in want.values()
+    ]
 
 
 def _curved(v):

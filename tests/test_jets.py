@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from paraframe.hypersurface import MODELS, immerse, orthonormal_frame, sample_points
-from paraframe.jets import _MONOMIALS, TJet, partials
+from paraframe.jets import _MONOMIALS, _MUL_TABLE, TJet, _cut, partials
 
 
 def test_variable_seed():
@@ -96,7 +96,7 @@ def _random_jet(seed: int, shape: tuple[int, ...], deg: int) -> TJet:
     rng = np.random.default_rng(seed)
     c = rng.normal(size=shape + (20,)) * 10.0 ** rng.integers(-3, 4, size=shape + (20,))
     c[..., 0] = rng.uniform(-3.0, 3.0, size=shape)
-    return TJet(c, deg)
+    return TJet(_cut(c, deg), deg)
 
 
 @pytest.mark.parametrize("deg", [1, 2, 3])
@@ -132,11 +132,70 @@ def test_sum_is_the_sequential_loop(axes):
 
 
 def test_frame_jets_vanish_above_their_degree():
-    # the compositions (sqrt, reciprocal) of Gram-Schmidt start their powers
-    # at the nilpotent part; no coefficient above degree 2 may leak through
-    above = [n for n, alpha in enumerate(_MONOMIALS) if sum(alpha) > 2]
+    # frame jets are valid to degree 2 and store nothing above it: the 10
+    # coefficients of degree <= 2
     for model in MODELS:
         points = sample_points(model, 5, seed=2)
         fc = orthonormal_frame(immerse(points), MODELS[model].signature)
         assert fc.jets.deg == 2
-        assert np.all(fc.jets.c[..., above] == 0.0)
+        assert fc.jets.c.shape[-1] == 10
+
+
+#: Coefficients through each degree: the kept prefix of a degree-d jet.
+KEPT = [sum(1 for alpha in _MONOMIALS if sum(alpha) <= d) for d in range(4)]
+
+
+def _loop_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Full-width product: every table entry in table order, from +0.0."""
+    out = np.zeros(np.broadcast_shapes(a.shape, b.shape))
+    for i, j, t in _MUL_TABLE:
+        out[..., t] = out[..., t] + a[..., i] * b[..., j]
+    return out
+
+
+def _loop_deriv(a: np.ndarray, var: int) -> np.ndarray:
+    out = np.zeros(a.shape)
+    for n, alpha in enumerate(_MONOMIALS):
+        if alpha[var] > 0:
+            lower = tuple(x - (k == var) for k, x in enumerate(alpha))
+            out[..., _MONOMIALS.index(lower)] = a[..., n] * alpha[var]
+    return out
+
+
+def _assert_kept(jet: TJet, deg: int, full: np.ndarray) -> None:
+    """jet is valid to deg, stores its KEPT[deg] coefficients, and they are
+    the first ones of the full-width result, bit for bit."""
+    assert jet.deg == deg
+    assert jet.c.shape[-1] == KEPT[deg]
+    assert np.array_equal(_bits(jet.c), _bits(full[..., : KEPT[deg]]))
+
+
+# leading shapes of 6 and 288 cells: products over more than 256 cells
+# build their own flat targets instead of reading the import-time table
+@pytest.mark.parametrize("shapes", [((2, 3), (3,)), ((18, 16), (16,))])
+@pytest.mark.parametrize("dx,dy", [(3, 3), (3, 2), (2, 3), (2, 1), (1, 3), (1, 1)])
+def test_mixed_degree_arithmetic_is_the_full_width_loop(dx, dy, shapes):
+    # operands carry random coefficients above their degree; none may reach
+    # a kept coefficient of the result
+    fx, fy = _random_jet(10 + dx, shapes[0], 3).c, _random_jet(20 + dy, shapes[1], 3).c
+    fx[0, 1, 7] = -0.0
+    fy[0] = -0.0  # all-(-0.0) operand: products of it sum to +0.0
+    x, y = TJet(_cut(fx, dx), dx), TJet(_cut(fy, dy), dy)
+    deg = min(dx, dy)
+    _assert_kept(x * y, deg, _loop_product(fx, fy))
+    _assert_kept(y * x, deg, _loop_product(fy, fx))
+    _assert_kept(x + y, deg, fx + fy)
+    _assert_kept(x - y, deg, fx - fy)
+    _assert_kept(1.5 - x, dx, TJet.constant(1.5).c - fx)
+    _assert_kept(x + 2.0, dx, fx + TJet.constant(2.0).c)
+    _assert_kept(TJet.stack([x, y], axis=0), deg, np.stack(np.broadcast_arrays(fx, fy), axis=0))
+    for var in range(3):
+        _assert_kept(x.deriv(var), dx - 1, _loop_deriv(fx, var))
+        _assert_kept(y.deriv(var), dy - 1, _loop_deriv(fy, var))
+
+
+def test_degree_zero_jet_has_no_derivative():
+    constant = TJet.variable(0, 0.5).deriv(0).deriv(0).deriv(0)
+    assert constant.deg == 0 and constant.c.shape == (1,)
+    with pytest.raises(ValueError):
+        constant.deriv(1)
