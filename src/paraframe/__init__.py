@@ -39,7 +39,6 @@ from .hypersurface import (
     ModelPoint,
     bracket_field,
     evaluate_immersion,
-    fd_jet,
     immerse,
     induced_metric,
     orthonormal_frame,

@@ -10,31 +10,11 @@ linearity of Koszul, so the frame field is the only differentiation site.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from .tensors import DIM, _frozen, as_tensor, kulkarni_nomizu, max_abs, permute
-
-
-def _index(batch, idx):
-    """batch[idx] for a StructureField or ConnectionCoeffs: idx indexes the
-    leading (point) axes of every array.
-
-    __post_init__ checked the batch's arrays and froze them as read-only
-    copies, so their slices are read-only views that no writable array
-    shares; they need neither the check nor the copy again.
-    """
-    idx = idx if isinstance(idx, tuple) else (idx,)
-    lead = getattr(batch, fields(batch)[0].name).ndim - 3  # the first field has rank 3
-    if len(idx) > lead:
-        raise IndexError(f"{type(batch).__name__} has {lead} point axes, got {len(idx)} indices")
-    out = object.__new__(type(batch))
-    for f in fields(batch):
-        a = getattr(batch, f.name)[idx]
-        a.flags.writeable = False  # an advanced index makes a writable copy
-        object.__setattr__(out, f.name, a)
-    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,8 +34,6 @@ class StructureField:
     def __post_init__(self):
         object.__setattr__(self, "c", _frozen(as_tensor(self.c, 3, batched=True)))
         object.__setattr__(self, "dc", _frozen(as_tensor(self.dc, 4, batched=True)))
-
-    __getitem__ = _index
 
     def antisymmetry_defect(self):
         """max |c[i, j, k] + c[j, i, k]| over c and dc, per point."""
@@ -81,8 +59,6 @@ class ConnectionCoeffs:
         object.__setattr__(self, "gamma", _frozen(as_tensor(self.gamma, 3, batched=True)))
         object.__setattr__(self, "dgamma", _frozen(as_tensor(self.dgamma, 4, batched=True)))
 
-    __getitem__ = _index
-
     def metric_defect(self):
         """Residual of gamma[i, j, k] = -gamma[i, k, j], per point."""
         return max_abs(self.gamma + np.swapaxes(self.gamma, -2, -1), 3)
@@ -97,25 +73,32 @@ def _koszul_map(c: np.ndarray) -> np.ndarray:
     return 0.5 * (c + permute(c, (1, 2, 0)) + permute(c, (2, 1, 0)))
 
 
-def koszul(sf: StructureField, tol: float = 1e-12) -> ConnectionCoeffs:
+#: Largest antisymmetry defect of the structure constants `koszul` accepts.
+ANTISYMMETRY_TOL = 1e-12
+
+#: Largest torsion-identity residual `curvature` accepts.
+TORSION_TOL = 1e-9
+
+
+def koszul(sf: StructureField) -> ConnectionCoeffs:
     """Levi-Civita connection coefficients from structure constants."""
-    if np.any(sf.antisymmetry_defect() > tol):
+    if np.any(sf.antisymmetry_defect() > ANTISYMMETRY_TOL):
         raise ValueError("structure constants are not antisymmetric in (i, j)")
     # the Koszul map acts on the last three axes, so dc's l axis rides along
     return ConnectionCoeffs(gamma=_koszul_map(sf.c), dgamma=_koszul_map(sf.dc))
 
 
-def curvature(conn: ConnectionCoeffs, sf: StructureField, tol: float = 1e-9) -> np.ndarray:
+def curvature(conn: ConnectionCoeffs, sf: StructureField) -> np.ndarray:
     """The (0,4) curvature tensor R[i, j, k, l] = g(R(e_i, e_j) e_k, e_l).
 
     R(x, y) = [nabla_x, nabla_y] - nabla_[x, y]; the derivative terms come
     from dgamma, everything else is bilinear in gamma and c.
     """
     defect = np.max(conn.torsion_defect(sf))
-    if defect > tol:
+    if defect > TORSION_TOL:
         raise ValueError(
             f"torsion identity gamma[i,j,k] - gamma[j,i,k] = c[i,j,k] violated "
-            f"(residual {defect:.3e} > {tol:.1e})"
+            f"(residual {defect:.3e} > {TORSION_TOL:.1e})"
         )
     g = conn.gamma
     r = conn.dgamma - np.swapaxes(conn.dgamma, -4, -3)

@@ -14,8 +14,7 @@ orthonormal_frame, bracket_field) takes one point or a batch of points
 with a leading point axis, and a batch row is bitwise the result for that
 point alone.  The hand-differentiated
 closed forms of the bracket data live in `reference`, next to the other
-verification targets; a finite-difference jet is kept here for debugging
-the jet plumbing itself.
+verification targets.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .frame import StructureField
-from .jets import TJet, _cut, partials
+from .jets import ORDER, TJet, _cut, partials
 from .tensors import DIM, max_abs
 
 #: Points closer than this to an excluded parameter locus are rejected;
@@ -67,25 +66,26 @@ class Jet3:
 
     coords is the jet of the four ambient coordinates, leading shape
     (..., 4), where the leading axes before the last index the points of a
-    batch (none for one point).  The arrays are its partials, read once:
-    value (..., 4), d1[..., i, a] = d z^a / d u^i, and d2, d3 the higher
-    partials, symmetric in their parameter indices by construction.
+    batch (none for one point).  Every coefficient must be finite.  The
+    arrays are its partials of order 0 and 1, read once: value (..., 4) and
+    d1[..., i, a] = d z^a / d u^i.  Higher partials are
+    `partials(coords, k)`, derivative axes first.
     """
 
     coords: TJet
     value: np.ndarray = field(init=False)
     d1: np.ndarray = field(init=False)
-    d2: np.ndarray = field(init=False)
-    d3: np.ndarray = field(init=False)
 
     def __post_init__(self):
         if self.coords.shape[-1:] != (4,):
             raise ValueError("immersion must produce 4 ambient coordinates")
-        for name, order in (("value", 0), ("d1", 1), ("d2", 2), ("d3", 3)):
+        if self.coords.deg != ORDER:
+            raise ValueError(f"immersion jet must be valid to degree {ORDER}")
+        if not np.all(np.isfinite(self.coords.c)):
+            raise ValueError("jet has non-finite entries")
+        for name, order in (("value", 0), ("d1", 1)):
             # parameter axes after the point axes, before the coordinate axis
             a = np.moveaxis(partials(self.coords, order), range(order), range(-order - 1, -1))
-            if not np.all(np.isfinite(a)):
-                raise ValueError("jet has non-finite entries")
             a.flags.writeable = False
             object.__setattr__(self, name, a)
 
@@ -344,108 +344,31 @@ def structure_field(p: ModelPoint) -> StructureField:
     return bracket_field(fc)
 
 
-def sample_points(
-    model: str, n: int, seed: int, r: float = 1.0, margin: float = 0.1
-) -> list[ModelPoint]:
+#: Sampled points keep this distance from the excluded loci, so cot/tan
+#: (or coth) stay bounded and identity residuals comparable across points.
+SAMPLE_MARGIN = 0.1
+
+
+def sample_points(model: str, n: int, seed: int, r: float = 1.0) -> list[ModelPoint]:
     """Deterministic valid parameter points, spread over the full domain.
 
-    s1 samples all four u1 quadrants; s2 samples both u1 branches.  margin
-    keeps cot/tan (or coth) bounded so identity residuals stay comparable
-    across points.
+    s1 samples all four u1 quadrants; s2 samples both u1 branches; both keep
+    SAMPLE_MARGIN from the exclusions.
     """
     rng = np.random.default_rng(seed)
     points = []
     for _ in range(n):
         if model == "s1":
             quadrant = int(rng.integers(0, 4))
-            u1 = quadrant * math.pi / 2 + rng.uniform(margin, math.pi / 2 - margin)
+            u1 = quadrant * math.pi / 2 + rng.uniform(SAMPLE_MARGIN, math.pi / 2 - SAMPLE_MARGIN)
             u = np.array([rng.uniform(0.0, TWO_PI), u1, rng.uniform(0.0, TWO_PI)])
         elif model == "s2":
             branch = 1.0 if rng.uniform() < 0.5 else -1.0
             u = np.array(
-                [branch * rng.uniform(margin, 2.5), rng.uniform(0.0, TWO_PI), rng.uniform(-2.5, 2.5)]
+                [branch * rng.uniform(SAMPLE_MARGIN, 2.5), rng.uniform(0.0, TWO_PI),
+                 rng.uniform(-2.5, 2.5)]
             )
         else:
             raise ValueError(f"unknown model {model!r}")
         points.append(ModelPoint(model=model, r=r, u=u))
     return points
-
-
-# ---------------------------------------------------------------------------
-# finite-difference debug oracle
-# ---------------------------------------------------------------------------
-
-
-def _position(p: ModelPoint, u: np.ndarray) -> np.ndarray:
-    """Plain ambient position at arbitrary u (no domain check, for FD shifts)."""
-    jets = p.spec.coords(p.r, [TJet.constant(ui) for ui in u])
-    return np.array([j.value for j in jets])
-
-
-def fd_jet(
-    p: ModelPoint, step: float = 1e-4
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Central-difference 3-jet, Richardson extrapolated; debug oracle only.
-
-    Returns (value, d1, d2, d3), laid out like the arrays of Jet3.  Third
-    partials use a coarser step, where roundoff would otherwise dominate;
-    expect ~1e-6 accuracy there and ~1e-9 elsewhere.
-    """
-
-    def richardson(d: Callable[[float], np.ndarray], h: float) -> np.ndarray:
-        return (4.0 * d(h / 2.0) - d(h)) / 3.0
-
-    u0 = p.u
-    eye = np.eye(DIM)
-
-    value = _position(p, u0)
-
-    def d1_of(i):
-        def central(h):
-            return (_position(p, u0 + h * eye[i]) - _position(p, u0 - h * eye[i])) / (2 * h)
-
-        return richardson(central, step)
-
-    d1 = np.array([d1_of(i) for i in range(DIM)])
-
-    def d2_of(i, j):
-        return richardson(lambda h: _fd_second(p, u0, i, j, h), step * 10)
-
-    d2 = np.array([[d2_of(i, j) for j in range(DIM)] for i in range(DIM)])
-
-    def d3_of(i, j, k):
-        def central(hh):
-            plus = _fd_second(p, u0 + hh * eye[k], i, j, step * 10)
-            minus = _fd_second(p, u0 - hh * eye[k], i, j, step * 10)
-            return (plus - minus) / (2.0 * hh)
-
-        return richardson(central, 0.02)
-
-    d3 = np.array(
-        [[[d3_of(i, j, k) for k in range(DIM)] for j in range(DIM)] for i in range(DIM)]
-    )
-    # symmetrize away FD noise, so the partials are symmetric like a jet's
-    d2 = 0.5 * (d2 + np.swapaxes(d2, 0, 1))
-    d3 = (
-        d3
-        + np.transpose(d3, (0, 2, 1, 3))
-        + np.transpose(d3, (1, 0, 2, 3))
-        + np.transpose(d3, (1, 2, 0, 3))
-        + np.transpose(d3, (2, 0, 1, 3))
-        + np.transpose(d3, (2, 1, 0, 3))
-    ) / 6.0
-    return value, d1, d2, d3
-
-
-def _fd_second(p: ModelPoint, u: np.ndarray, i: int, j: int, h: float) -> np.ndarray:
-    eye = np.eye(DIM)
-    if i == j:
-        return (
-            _position(p, u + h * eye[i]) - 2.0 * _position(p, u) + _position(p, u - h * eye[i])
-        ) / h**2
-    return (
-        _position(p, u + h * (eye[i] + eye[j]))
-        - _position(p, u + h * (eye[i] - eye[j]))
-        - _position(p, u - h * (eye[i] - eye[j]))
-        + _position(p, u - h * (eye[i] + eye[j]))
-    ) / (4.0 * h**2)

@@ -37,9 +37,10 @@ along axes in the same sequential order.
 
 Smooth functions compose through the powers h, h^2, h^3 of a jet's
 nilpotent part.  `sincos` and `sinhcosh` share those powers between the two
-functions and return both, stacked on a new leading axis; each is bitwise
-the single function.  Values of sin, cos, sinh, cosh and integer powers
-are taken per element with Python's `math`, as for a single jet.
+functions and return both, stacked on a new leading axis; `sin`, `cos`,
+`sinh` and `cosh` are their slices.  Values of sin, cos, sinh, cosh and
+integer powers are taken per element with Python's `math`, as for a single
+jet.
 """
 
 from __future__ import annotations
@@ -313,31 +314,27 @@ class TJet:
             out = out + term * (d[k] / fact)
         return out
 
-    def sin(self) -> "TJet":
-        s, co = _elementwise(math.sin, self.value), _elementwise(math.cos, self.value)
-        return self._compose([s, co, -s, -co])
-
-    def cos(self) -> "TJet":
-        s, co = _elementwise(math.sin, self.value), _elementwise(math.cos, self.value)
-        return self._compose([co, -s, -co, s])
-
     def sincos(self) -> "TJet":
         """sin and cos in one composition, stacked on a new leading axis."""
         s, co = _elementwise(math.sin, self.value), _elementwise(math.cos, self.value)
         return self._compose([np.stack(d) for d in ((s, co), (co, -s), (-s, -co), (-co, s))])
 
-    def sinh(self) -> "TJet":
-        s, co = _elementwise(math.sinh, self.value), _elementwise(math.cosh, self.value)
-        return self._compose([s, co, s, co])
+    def sin(self) -> "TJet":
+        return self.sincos()[0]
 
-    def cosh(self) -> "TJet":
-        s, co = _elementwise(math.sinh, self.value), _elementwise(math.cosh, self.value)
-        return self._compose([co, s, co, s])
+    def cos(self) -> "TJet":
+        return self.sincos()[1]
 
     def sinhcosh(self) -> "TJet":
         """sinh and cosh in one composition, stacked on a new leading axis."""
         s, co = _elementwise(math.sinh, self.value), _elementwise(math.cosh, self.value)
         return self._compose([np.stack(d) for d in ((s, co), (co, s), (s, co), (co, s))])
+
+    def sinh(self) -> "TJet":
+        return self.sinhcosh()[0]
+
+    def cosh(self) -> "TJet":
+        return self.sinhcosh()[1]
 
     def sqrt(self) -> "TJet":
         v = self.value

@@ -203,8 +203,9 @@ def _point(b: PointAnalysis, n: int) -> PointAnalysis:
     d = b.decomposition
     return PointAnalysis(
         structure=b.structure,
-        field=b.field[n],
-        connection=b.connection[n],
+        field=frame.StructureField(c=b.field.c[n], dc=b.field.dc[n]),
+        connection=frame.ConnectionCoeffs(gamma=b.connection.gamma[n],
+                                          dgamma=b.connection.dgamma[n]),
         f=b.f[n],
         lee=classifier.LeeForms(theta=b.lee.theta[n], theta_star=b.lee.theta_star[n],
                                 omega=b.lee.omega[n]),

@@ -30,6 +30,7 @@ from paraframe.hypersurface import (
     orthonormal_frame,
     sample_points,
 )
+from paraframe.jets import partials
 from paraframe.report import REPORT_EPS, _entries, render_csv, render_text
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -197,7 +198,9 @@ def pipeline_text() -> str:
         fc = orthonormal_frame(jet, sig)
         sf = bracket_field(fc)
         arrays = {
-            "jet.value": jet.value, "jet.d1": jet.d1, "jet.d2": jet.d2, "jet.d3": jet.d3,
+            "jet.value": jet.value, "jet.d1": jet.d1,
+            **{f"jet.d{k}": np.moveaxis(partials(jet.coords, k), range(k), range(-k - 1, -1))
+               for k in (2, 3)},
             "fc.a": fc.a, "sf.c": sf.c, "sf.dc": sf.dc,
         }
         lines.append(f"# {label}")

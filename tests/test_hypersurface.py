@@ -1,7 +1,10 @@
 import math
+from itertools import product
 
+import mpmath
 import numpy as np
 import pytest
+import sympy
 
 from paraframe.classifier import fundamental_tensor
 from paraframe.frame import StructureField, curvature, jacobi_residual, koszul
@@ -9,10 +12,10 @@ from paraframe.hypersurface import (
     EUCLIDEAN,
     LORENTZIAN,
     DomainError,
+    Jet3,
     ModelPoint,
     bracket_field,
     evaluate_immersion,
-    fd_jet,
     immerse,
     induced_metric,
     orthonormal_frame,
@@ -20,7 +23,7 @@ from paraframe.hypersurface import (
     sphere_residual,
     structure_field,
 )
-from paraframe.jets import TJet
+from paraframe.jets import TJet, partials
 from paraframe.nijenhuis import assoc_nijenhuis_from_F, nijenhuis_from_F
 from paraframe.reference import model_reference
 from paraframe.report import analyze_point
@@ -56,8 +59,9 @@ def test_immerse_s2_point():
 
 def test_immerse_partials_symmetric_exactly():
     jet = immerse(mp("s1", 1.0, [0.4, 0.9, 2.2]))
-    assert max_abs(jet.d2 - np.swapaxes(jet.d2, 0, 1)) == 0.0
-    assert max_abs(jet.d3 - np.transpose(jet.d3, (1, 0, 2, 3))) == 0.0
+    d2, d3 = (np.moveaxis(partials(jet.coords, k), range(k), range(-k - 1, -1)) for k in (2, 3))
+    assert max_abs(d2 - np.swapaxes(d2, 0, 1)) == 0.0
+    assert max_abs(d3 - np.transpose(d3, (1, 0, 2, 3))) == 0.0
 
 
 def test_domain_rejections():
@@ -240,10 +244,22 @@ def test_custom_immersion_needs_four_coordinates():
 def test_jet3_rejects_non_finite():
     with pytest.raises(ValueError, match="non-finite"):
         evaluate_immersion(lambda v: [v[0], v[1], v[2], float("inf")], np.zeros(3))
+    # a non-finite coefficient of degree 2 (index 4) or 3 (index 19) alone
+    for n in (4, 19):
+        c = TJet.stack([TJet.variable(i % 3, 0.5) for i in range(4)]).c
+        c[3, n] = np.inf
+        with pytest.raises(ValueError, match="jet has non-finite entries"):
+            Jet3(TJet(c))
+
+
+def test_jet3_rejects_a_lower_degree_jet():
+    coords = TJet.stack([TJet.variable(i % 3, 0.5) for i in range(4)])
+    with pytest.raises(ValueError, match="valid to degree 3"):
+        Jet3(TJet(coords.c[..., :10], 2))
 
 
 # ---------------------------------------------------------------------------
-# sampling and the finite-difference oracle
+# sampling, and the immersion jet against symbolic derivatives
 # ---------------------------------------------------------------------------
 
 
@@ -259,16 +275,58 @@ def test_sample_points_deterministic_and_valid():
     assert signs == {True, False}
 
 
-def test_fd_jet_matches_taylor_jet():
-    for model, u in (("s1", [0.4, 0.9, 2.2]), ("s2", [0.8, 1.1, -0.5])):
-        p = mp(model, 1.3, u)
-        exact = immerse(p)
-        value, d1, d2, d3 = fd_jet(p)
-        assert max_abs(exact.value - value) == 0.0
-        assert max_abs(exact.d1 - d1) <= 1e-9
-        assert max_abs(exact.d2 - d2) <= 1e-7
-        assert max_abs(exact.d3 - d3) <= 1e-4
+def _symbolic_coords(model: str, r, u) -> list:
+    """The ambient coordinates of a model in closed form, written out apart
+    from its jet evaluator."""
+    if model == "s1":
+        return [r * sympy.cos(u[1]) * sympy.cos(u[2]), r * sympy.cos(u[1]) * sympy.sin(u[2]),
+                r * sympy.sin(u[1]) * sympy.cos(u[0]), r * sympy.sin(u[1]) * sympy.sin(u[0])]
+    return [r * sympy.sinh(u[0]) * sympy.cos(u[1]), r * sympy.sinh(u[0]) * sympy.sin(u[1]),
+            r * sympy.cosh(u[0]) * sympy.sinh(u[2]), r * sympy.cosh(u[0]) * sympy.cosh(u[2])]
 
+
+def _symbolic_partials(model: str):
+    """f(r, u0, u1, u2) -> the partials of orders 0..3 of the coordinates,
+    evaluated by mpmath, each order laid out like `partials` of one point."""
+    r, *u = sympy.symbols("r u0 u1 u2", real=True)
+    z = _symbolic_coords(model, r, u)
+    orders = [
+        [[za.diff(*(u[i] for i in idx)) if k else za for za in z]
+         for idx in product(range(3), repeat=k)]
+        for k in range(4)
+    ]
+    return sympy.lambdify([r, *u], orders, modules="mpmath", cse=True)
+
+
+#: Points of both models over three decades of radius: every s1 u1
+#: quadrant, both s2 u1 branches, and the s2 corners |u1| = |u3| = 2.5.
+SYMBOLIC_POINTS = {
+    model: [p for k, r in enumerate((1e-3, 1.3, 1e4)) for p in sample_points(model, 10, k, r)]
+    for model in ("s1", "s2")
+}
+SYMBOLIC_POINTS["s2"] += [mp("s2", 1.3, [2.5, 0.3, 2.5]), mp("s2", 1e4, [-2.5, 5.9, -2.5])]
+
+
+def test_symbolic_points_cover_the_domain():
+    assert {int(p.u[1] // (math.pi / 2)) for p in SYMBOLIC_POINTS["s1"]} == {0, 1, 2, 3}
+    assert {p.u[0] > 0 for p in SYMBOLIC_POINTS["s2"]} == {True, False}
+    assert max(abs(p.u[2]) for p in SYMBOLIC_POINTS["s2"]) == 2.5
+
+
+@pytest.mark.parametrize("model", ["s1", "s2"])
+def test_immersion_jet_matches_symbolic_derivatives(model):
+    # every partial of orders 0..3 within 1e-14 of the largest of its order,
+    # against 40-digit values of the closed-form derivatives
+    f = _symbolic_partials(model)
+    points = SYMBOLIC_POINTS[model]
+    jet = immerse(points)
+    for n, p in enumerate(points):
+        with mpmath.workdps(40):
+            exact = f(mpmath.mpf(p.r), *(mpmath.mpf(x) for x in p.u))
+        for k in range(4):
+            want = np.array([[float(x) for x in row] for row in exact[k]]).reshape((3,) * k + (4,))
+            got = partials(jet.coords, k)[..., n, :]
+            assert max_abs(got - want) <= 1e-14 * max_abs(want), (p.u, p.r, k)
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +377,7 @@ def _stages(jet, sig) -> dict[str, np.ndarray]:
     s = standard_structure()
     f = fundamental_tensor(conn, s)
     r4 = curvature(conn, sf)
-    out = {k: getattr(jet, k) for k in ("value", "d1", "d2", "d3")}
+    out = dict(value=jet.value, d1=jet.d1, coords=jet.coords.c)
     out.update(a=fc.a, metric=fc.metric, c=sf.c, dc=sf.dc)
     out.update(gamma=conn.gamma, dgamma=conn.dgamma, f=f, r=r4)
     out.update(n=nijenhuis_from_F(f, s), hn=assoc_nijenhuis_from_F(f, s))

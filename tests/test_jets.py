@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from paraframe.hypersurface import MODELS, immerse, orthonormal_frame, sample_points
-from paraframe.jets import _MONOMIALS, _MUL_TABLE, TJet, _cut, partials
+from paraframe.jets import _MONOMIALS, _MUL_TABLE, TJet, _cut, _elementwise, partials
 
 
 def test_variable_seed():
@@ -102,12 +102,20 @@ def _random_jet(seed: int, shape: tuple[int, ...], deg: int) -> TJet:
 @pytest.mark.parametrize("deg", [1, 2, 3])
 @pytest.mark.parametrize("shape", [(), (5,), (2, 3)])
 def test_paired_functions_are_the_single_ones(shape, deg):
+    # each function, a slice of its pair, is bitwise its own composition
     x = _random_jet(deg, shape, deg)
-    for pair, singles in ((x.sincos(), (x.sin(), x.cos())), (x.sinhcosh(), (x.sinh(), x.cosh()))):
+    s, c = _elementwise(math.sin, x.value), _elementwise(math.cos, x.value)
+    sh, ch = _elementwise(math.sinh, x.value), _elementwise(math.cosh, x.value)
+    cases = (
+        (x.sincos(), (x.sin(), x.cos()), ([s, c, -s, -c], [c, -s, -c, s])),
+        (x.sinhcosh(), (x.sinh(), x.cosh()), ([sh, ch, sh, ch], [ch, sh, ch, sh])),
+    )
+    for pair, singles, derivatives in cases:
         assert pair.shape == (2,) + shape
-        for k, single in enumerate(singles):
-            assert pair[k].deg == single.deg == deg
-            assert np.array_equal(_bits(pair[k].c), _bits(single.c))
+        for single, d in zip(singles, derivatives):
+            alone = x._compose(d)
+            assert single.deg == alone.deg == deg
+            assert np.array_equal(_bits(single.c), _bits(alone.c))
 
 
 def _loop_sum(c: np.ndarray, axes: int) -> np.ndarray:
