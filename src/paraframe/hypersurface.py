@@ -311,6 +311,8 @@ def bracket_field(fc: FrameCoeffs) -> StructureField:
     pairs i < j and the three Cramer columns are solved in one pass.
     """
     aj = fc.jets
+    if aj.deg < 2:
+        raise ValueError(f"frame jets must be valid to degree 2, got {aj.deg}")
     daj = TJet.stack([aj.deriv(l) for l in range(DIM)], axis=-2)  # [..., i, l, m] = d_l a[i, m]
     pi, pj = _UPPER_I, _UPPER_J
     # b[..., pair, m] = sum_l a[i, l] d_l a[j, m] - a[j, l] d_l a[i, m]

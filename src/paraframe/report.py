@@ -8,7 +8,7 @@ produce byte-identical artifacts.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -17,7 +17,7 @@ from . import classifier, frame, nijenhuis, tensors
 from .hypersurface import ModelPoint, bracket_field, immerse, orthonormal_frame
 from .hypersurface import sample_points, sphere_residual
 from .reference import ModelReference, model_reference
-from .structure import STANDARD, AprStructure, verify_axioms
+from .structure import STANDARD, metric_compat
 from .tensors import DIM, max_abs
 
 #: Entries smaller than this are dropped from "nonzero component" listings.
@@ -31,15 +31,15 @@ REPORT_EPS = 1e-12
 
 @dataclass(frozen=True, eq=False)
 class PointAnalysis:
-    """Every stage of the pipeline at one point, with its identity residuals
-    and the closed-form targets they are checked against.
+    """Every stage of the pipeline at one point (the structure is always
+    `STANDARD`), with its identity residuals and the closed-form targets
+    they are checked against.
 
-    `_batches` builds one for a whole chunk of points: then every array,
-    scalar and residual carries a leading point axis, and `label`,
+    `_analyze_field` builds one for a whole chunk of points: then every
+    array, scalar and residual carries a leading point axis, and `label`,
     `reference` and `status` are lists with one entry per point.
     """
 
-    structure: AprStructure
     field: frame.StructureField
     connection: frame.ConnectionCoeffs
     f: np.ndarray
@@ -112,83 +112,25 @@ _PLANES = tuple((np.eye(DIM)[a], np.eye(DIM)[b]) for a, b in ((0, 1), (0, 2), (1
 
 
 def _batches(chunk: list[ModelPoint], tol: float) -> list[PointAnalysis]:
-    """The batched analysis of one chunk, each stage called once for all
-    its points; if the chunk raises, one batch per point instead."""
-    s = STANDARD
+    """The batched analysis of one chunk: the jet front (immerse,
+    orthonormal_frame, bracket_field) and its residuals, then `_analyze_field`;
+    if the chunk raises, one batch per point instead."""
     try:
         jet = immerse(chunk)
         fc = orthonormal_frame(jet, chunk[0].spec.signature)
         sf = bracket_field(fc)
-        conn = frame.koszul(sf)
-
-        f = classifier.fundamental_tensor(conn, s)
-        lee = classifier.lee_forms(f)
-        decomp = classifier.class_components(f, lee)
-        labels = classifier.classify(decomp, classifier.classification_tol(f))
-
-        n_f = nijenhuis.nijenhuis_from_F(f, s)
-        hn_f = nijenhuis.assoc_nijenhuis_from_F(f, s)
-        n_d, hn_d = nijenhuis.nijenhuis_direct(conn, sf, s)
-
-        r4 = frame.curvature(conn, sf)
-        rho = tensors.contract_metric(r4)
-        rho_star = tensors.contract_metric(r4, s.phi)
-        kappa = np.array([p.spec.kappa(p.r) for p in chunk])
-
-        fs1, fs2 = classifier.f_symmetry_residuals(f, s)
-        rsym = tensors.curvature_symmetry_residuals(r4)
         refs = [model_reference(p) for p in chunk]
-        # axioms checked against the true frame Gram metric, not the idealized identity
+        # the one axiom that reads the metric, against the frame's true Gram matrix
         gram = fc.a @ fc.metric @ np.swapaxes(fc.a, -1, -2)
-        s_at_p = AprStructure(phi=s.phi, xi=s.xi, eta=s.eta, metric=gram)
         residuals = {
             "on_sphere": np.array([sphere_residual(p, z) for p, z in zip(chunk, jet.value)]),
             "frame_gram": fc.gram_defect(),
-            "structure_axioms": verify_axioms(s_at_p).worst,
+            "structure_axioms": metric_compat(STANDARD, gram),
             "bracket_vs_closed_form": max_abs(sf.c - np.stack([ref.c for ref in refs]), 3),
             "bracket_deriv_vs_closed_form": max_abs(sf.dc - np.stack([ref.dc for ref in refs]), 4),
-            "jacobi_identity": frame.jacobi_residual(sf),
-            "connection_metric": conn.metric_defect(),
-            "connection_torsion": conn.torsion_defect(sf),
-            "f_symmetry_first": fs1,
-            "f_symmetry_second": fs2,
-            "lee_omega_0": np.abs(lee.omega[:, 0]),
-            "lee_theta1_plus_thetastar2": np.abs(lee.theta[:, 1] + lee.theta_star[:, 2]),
-            "lee_theta2_plus_thetastar1": np.abs(lee.theta[:, 2] + lee.theta_star[:, 1]),
-            "nabla_eta_relation": classifier.check_nabla_eta_relation(conn, f, s),
-            "class_decomposition": decomp.residual,
-            "nijenhuis_cross_route": max_abs(n_f - n_d, 3),
-            "assoc_nijenhuis_cross_route": max_abs(hn_f - hn_d, 3),
-            "curvature_symmetries": functools.reduce(np.maximum, rsym.values()),
-            "ricci_symmetry": tensors.symmetry_defect(rho),
-            "space_form": frame.space_form_residual(r4, kappa),
         }
-        batch = PointAnalysis(
-            structure=s,
-            field=sf,
-            connection=conn,
-            f=f,
-            lee=lee,
-            decomposition=decomp,
-            label=labels,
-            nijenhuis=n_f,
-            assoc_nijenhuis=hn_f,
-            curvature=r4,
-            ricci=rho,
-            ricci_star=rho_star,
-            tau=np.trace(rho, axis1=-2, axis2=-1),
-            tau_star=np.trace(rho_star, axis1=-2, axis2=-1),
-            k=tuple(frame.sectional(r4, x, y) for x, y in _PLANES),
-            kappa=kappa,
-            d_eta=frame.d_eta(conn),
-            nabla_xi_xi=frame.nabla_xi_xi(conn),
-            reference=refs,
-            residuals=residuals,
-            status=[
-                "PASS" if worst <= tol else "FAIL"
-                for worst in functools.reduce(np.maximum, residuals.values())
-            ],
-        )
+        kappa = np.array([p.spec.kappa(p.r) for p in chunk])
+        batch = _analyze_field(sf, kappa, refs, residuals, tol)
     except (ValueError, ArithmeticError, RuntimeWarning):
         # RuntimeWarning is raised only where warnings are errors; a batched
         # stage meets one point's overflow before another point's error
@@ -198,38 +140,86 @@ def _batches(chunk: list[ModelPoint], tol: float) -> list[PointAnalysis]:
     return [batch]
 
 
-def _point(b: PointAnalysis, n: int) -> PointAnalysis:
-    """Point n of a batched analysis (Python floats for its scalars)."""
-    d = b.decomposition
+def _analyze_field(sf: frame.StructureField, kappa: np.ndarray, refs: list[ModelReference],
+                   residuals: dict[str, np.ndarray], tol: float) -> PointAnalysis:
+    """The algebraic tail of `_batches` on a batched StructureField; `refs`
+    are stored as given, and the front's `residuals` come first."""
+    s = STANDARD
+    conn = frame.koszul(sf)
+
+    f = classifier.fundamental_tensor(conn, s)
+    lee = classifier.lee_forms(f)
+    decomp = classifier.class_components(f, lee)
+    labels = classifier.classify(decomp, classifier.classification_tol(f))
+
+    n_f = nijenhuis.nijenhuis_from_F(f, s)
+    hn_f = nijenhuis.assoc_nijenhuis_from_F(f, s)
+    n_d, hn_d = nijenhuis.nijenhuis_direct(conn, sf, s)
+
+    r4 = frame.curvature(conn, sf)
+    rho = tensors.contract_metric(r4)
+    rho_star = tensors.contract_metric(r4, s.phi)
+
+    fs1, fs2 = classifier.f_symmetry_residuals(f, s)
+    rsym = tensors.curvature_symmetry_residuals(r4)
+    residuals = {
+        **residuals,
+        "jacobi_identity": frame.jacobi_residual(sf),
+        "connection_metric": conn.metric_defect(),
+        "connection_torsion": conn.torsion_defect(sf),
+        "f_symmetry_first": fs1,
+        "f_symmetry_second": fs2,
+        "lee_omega_0": np.abs(lee.omega[:, 0]),
+        "lee_theta1_plus_thetastar2": np.abs(lee.theta[:, 1] + lee.theta_star[:, 2]),
+        "lee_theta2_plus_thetastar1": np.abs(lee.theta[:, 2] + lee.theta_star[:, 1]),
+        "nabla_eta_relation": classifier.check_nabla_eta_relation(conn, f, s),
+        "class_decomposition": decomp.residual,
+        "nijenhuis_cross_route": max_abs(n_f - n_d, 3),
+        "assoc_nijenhuis_cross_route": max_abs(hn_f - hn_d, 3),
+        "curvature_symmetries": functools.reduce(np.maximum, rsym.values()),
+        "ricci_symmetry": tensors.symmetry_defect(rho),
+        "space_form": frame.space_form_residual(r4, kappa),
+    }
     return PointAnalysis(
-        structure=b.structure,
-        field=frame.StructureField(c=b.field.c[n], dc=b.field.dc[n]),
-        connection=frame.ConnectionCoeffs(gamma=b.connection.gamma[n],
-                                          dgamma=b.connection.dgamma[n]),
-        f=b.f[n],
-        lee=classifier.LeeForms(theta=b.lee.theta[n], theta_star=b.lee.theta_star[n],
-                                omega=b.lee.omega[n]),
-        decomposition=classifier.FDecomposition(
-            components={sid: t[n] for sid, t in d.components.items()},
-            params={key: float(v[n]) for key, v in d.params.items()},
-            residual=float(d.residual[n]),
-        ),
-        label=b.label[n],
-        nijenhuis=b.nijenhuis[n],
-        assoc_nijenhuis=b.assoc_nijenhuis[n],
-        curvature=b.curvature[n],
-        ricci=b.ricci[n],
-        ricci_star=b.ricci_star[n],
-        tau=float(b.tau[n]),
-        tau_star=float(b.tau_star[n]),
-        k=tuple(float(kab[n]) for kab in b.k),
-        kappa=float(b.kappa[n]),
-        d_eta=b.d_eta[n],
-        nabla_xi_xi=b.nabla_xi_xi[n],
-        reference=b.reference[n],
-        residuals={name: float(v[n]) for name, v in b.residuals.items()},
-        status=b.status[n],
+        field=sf,
+        connection=conn,
+        f=f,
+        lee=lee,
+        decomposition=decomp,
+        label=labels,
+        nijenhuis=n_f,
+        assoc_nijenhuis=hn_f,
+        curvature=r4,
+        ricci=rho,
+        ricci_star=rho_star,
+        tau=np.trace(rho, axis1=-2, axis2=-1),
+        tau_star=np.trace(rho_star, axis1=-2, axis2=-1),
+        k=tuple(frame.sectional(r4, x, y) for x, y in _PLANES),
+        kappa=kappa,
+        d_eta=frame.d_eta(conn),
+        nabla_xi_xi=frame.nabla_xi_xi(conn),
+        reference=refs,
+        residuals=residuals,
+        status=[
+            "PASS" if worst <= tol else "FAIL"
+            for worst in functools.reduce(np.maximum, residuals.values())
+        ],
     )
+
+
+def _point(b, n: int):
+    """Point n of a batched value: an array drops its point axis (a 1-D one
+    gives a Python float), a list gives entry n, and dicts, tuples and
+    dataclasses are rebuilt from their members' point n."""
+    if isinstance(b, np.ndarray):
+        return float(b[n]) if b.ndim == 1 else b[n]
+    if isinstance(b, list):
+        return b[n]
+    if isinstance(b, dict):
+        return {key: _point(v, n) for key, v in b.items()}
+    if isinstance(b, tuple):
+        return tuple(_point(v, n) for v in b)
+    return type(b)(**{f.name: _point(getattr(b, f.name), n) for f in fields(b)})
 
 
 def _entries(name: str, t: np.ndarray) -> dict[str, float]:
@@ -339,7 +329,7 @@ def _checks(model: str, a: PointAnalysis, tol: float) -> dict[str, float]:
     if model == "s1":
         # N = -d eta (x) xi on this model
         checks["n_plus_deta_xi"] = max_abs(
-            a.nijenhuis + np.einsum("...ij,k->...ijk", a.d_eta, a.structure.eta), 3
+            a.nijenhuis + np.einsum("...ij,k->...ijk", a.d_eta, STANDARD.eta), 3
         )
     else:
         checks["d_eta_zero"] = max_abs(a.d_eta, 2)

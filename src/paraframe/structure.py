@@ -8,7 +8,6 @@ modules; here phi has constant components.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,17 +38,6 @@ class AprStructure:
             object.__setattr__(self, name, _frozen(t))
 
 
-@dataclass(frozen=True, eq=False)
-class AxiomReport:
-    """Per-axiom maximum residuals, each one value per point."""
-
-    residuals: dict[str, float | np.ndarray]
-
-    @property
-    def worst(self):
-        return functools.reduce(np.maximum, self.residuals.values())
-
-
 def standard_structure() -> AprStructure:
     """The adapted-frame structure: phi e0 = 0, phi e1 = e2, phi e2 = e1."""
     phi = np.zeros((DIM, DIM))
@@ -64,23 +52,26 @@ def standard_structure() -> AprStructure:
 STANDARD = standard_structure()
 
 
-def verify_axioms(s: AprStructure) -> AxiomReport:
+def metric_compat(s: AprStructure, g) -> np.ndarray:
+    """Residual of g(phi x, phi y) = g(x, y) - eta(x) eta(y) for the metric g,
+    one value per point: the only axiom that reads the metric."""
+    eta_eta = np.einsum("...i,...j->...ij", s.eta, s.eta)
+    return max_abs(np.swapaxes(s.phi, -1, -2) @ g @ s.phi - (g - eta_eta), 2)
+
+
+def verify_axioms(s: AprStructure) -> dict[str, float | np.ndarray]:
     """Check the defining axioms of the structure and report residuals.
 
     phi^2 = I - eta (x) xi,  eta(xi) = 1,  eta o phi = 0,  phi xi = 0,
     tr phi = 0,  g(phi x, phi y) = g(x, y) - eta(x) eta(y).
     """
-    p, xi, eta, g = s.phi, s.xi, s.eta, s.metric
-
-    def outer(x, y):
-        return np.einsum("...i,...j->...ij", x, y)
-
-    residuals = {
-        "phi_squared": max_abs(p @ p - (np.eye(DIM) - outer(xi, eta)), 2),
+    p, xi, eta = s.phi, s.xi, s.eta
+    xi_eta = np.einsum("...i,...j->...ij", xi, eta)
+    return {
+        "phi_squared": max_abs(p @ p - (np.eye(DIM) - xi_eta), 2),
         "eta_xi": np.abs(np.einsum("...i,...i->...", eta, xi) - 1.0),
         "eta_phi": max_abs(np.einsum("...i,...ij->...j", eta, p), 1),
         "phi_xi": max_abs(np.einsum("...ij,...j->...i", p, xi), 1),
         "trace_phi": np.abs(np.trace(p, axis1=-2, axis2=-1)),
-        "metric_compat": max_abs(np.swapaxes(p, -1, -2) @ g @ p - (g - outer(eta, eta)), 2),
+        "metric_compat": metric_compat(s, s.metric),
     }
-    return AxiomReport(residuals=residuals)

@@ -24,7 +24,7 @@ from paraframe.frame import (
     sectional,
     space_form_residual,
 )
-from paraframe.report import analyze_point
+from paraframe.report import _analyze_field, _point, analyze_point
 from paraframe.tensors import max_abs
 
 E = np.eye(3)
@@ -237,3 +237,38 @@ def test_point_fields_are_frozen():
         assert all(_read_only_all_the_way(x) for x in arrays)
         assert np.array_equal(sf.dc[n], a.field.dc)
         assert np.array_equal(conn.gamma[n], a.connection.gamma)
+
+
+#: Milnor triples (lam0, lam1, lam2): [e1, e2] = lam0 e0, [e2, e0] = lam1 e1,
+#: [e0, e1] = lam2 e2, with the class the pipeline must give where pinned.
+MILNOR = {
+    (1.0, 1.0, 1.0): "F8 + F10",  # SU(2) with its round metric
+    (1.0, 1.0, 0.0): "F4 + F8",
+    (2.0, 3.0, 5.0): "F4 + F8 + F10",
+    (0.0, 0.0, 0.0): "F0",
+    (1.0, -1.0, 0.0): None,
+    (0.3, 1.7, -2.2): None,
+    (math.pi, math.e, math.sqrt(2.0)): None,
+    (1.0 / 3.0, -5.0 / 7.0, 0.9): None,
+}
+
+
+def test_milnor_frames_through_the_tail():
+    # constant structure constants of a left-invariant frame on a unimodular
+    # 3-dim Lie group: the tail needs no hypersurface, and Milnor (Adv. Math.
+    # 21, 1976) gives its Ricci tensor, diagonal with rho_ii = 2 mu_j mu_k
+    lam = np.array(list(MILNOR))
+    c = np.zeros((len(lam), 3, 3, 3))
+    for i, j, k in ((1, 2, 0), (2, 0, 1), (0, 1, 2)):
+        c[:, i, j, k] = lam[:, k]
+        c[:, j, i, k] = -lam[:, k]
+    sf = StructureField(c=c, dc=np.zeros((len(lam), 3, 3, 3, 3)))
+    # kappa and the references are placeholders: no closed form reads them here
+    batch = _analyze_field(sf, np.zeros(len(lam)), [None] * len(lam), {}, 1e-9)
+    mu = lam.sum(axis=1, keepdims=True) / 2.0 - lam
+    for n, (triple, name) in enumerate(MILNOR.items()):
+        a = _point(batch, n)
+        rho = np.diag([2.0 * mu[n, (i + 1) % 3] * mu[n, (i + 2) % 3] for i in range(3)])
+        assert max_abs(a.ricci - rho) <= 1e-15 * max(1.0, max_abs(lam[n]) ** 2), triple
+        if name is not None:
+            assert a.label.name == name, triple

@@ -12,6 +12,7 @@ from paraframe.hypersurface import (
     EUCLIDEAN,
     LORENTZIAN,
     DomainError,
+    FrameCoeffs,
     Jet3,
     ModelPoint,
     bracket_field,
@@ -23,7 +24,7 @@ from paraframe.hypersurface import (
     sphere_residual,
     structure_field,
 )
-from paraframe.jets import TJet, partials
+from paraframe.jets import TJet, _cut, partials
 from paraframe.nijenhuis import assoc_nijenhuis_from_F, nijenhuis_from_F
 from paraframe.reference import model_reference
 from paraframe.report import analyze_point
@@ -191,6 +192,15 @@ def test_jet_vs_closed_form_sampled():
             ref = model_reference(p)
             assert max_abs(sf.c - ref.c) <= 1e-10
             assert max_abs(sf.dc - ref.dc) <= 1e-10
+
+
+def test_bracket_field_rejects_frame_jets_below_degree_2():
+    # dc needs the frame jets to degree 2; cut to degree 1 it came out wrong by 5.0
+    p = mp("s1", 1.0, [0.3, 0.7, 1.1])
+    fc = orthonormal_frame(immerse(p), p.spec.signature)
+    low = FrameCoeffs(a=fc.a, jets=TJet(_cut(fc.jets.c, 1), 1), metric=fc.metric)
+    with pytest.raises(ValueError, match="valid to degree 2"):
+        bracket_field(low)
 
 
 def test_bracket_antisymmetry_and_jacobi(batches):

@@ -5,7 +5,7 @@ import numpy as np
 from conftest import pipeline
 from paraframe.frame import StructureField, d_eta, koszul, nabla_xi_xi
 from paraframe.nijenhuis import assoc_nijenhuis_from_F, nijenhuis_direct, nijenhuis_from_F
-from paraframe.structure import standard_structure
+from paraframe.structure import STANDARD, standard_structure
 from paraframe.tensors import max_abs
 
 LN2 = math.log(2.0)
@@ -104,7 +104,7 @@ def test_s1_n_equals_minus_deta_xi(s1_batch):
     for item in s1_batch:
         a = item["a"]
         de = d_eta(a.connection)
-        rebuilt = -np.einsum("ij,k->ijk", de, a.structure.eta)
+        rebuilt = -np.einsum("ij,k->ijk", de, STANDARD.eta)
         assert max_abs(a.nijenhuis - rebuilt) <= 1e-9
 
 

@@ -17,16 +17,16 @@ def test_standard_structure_components():
 
 def test_axioms_pass_exactly():
     rep = verify_axioms(standard_structure())
-    assert all(v <= 1e-12 for v in rep.residuals.values())
-    assert rep.worst == 0.0
-    assert [k for k, v in rep.residuals.items() if v > 1e-12] == []
+    assert all(v <= 1e-12 for v in rep.values())
+    assert max(rep.values()) == 0.0
+    assert [k for k, v in rep.items() if v > 1e-12] == []
 
 
 def test_axioms_catch_bad_eta():
     s = standard_structure()
     bad = AprStructure(phi=s.phi, xi=s.xi, eta=np.array([0.0, 1.0, 0.0]), metric=s.metric)
     rep = verify_axioms(bad)
-    assert rep.residuals["eta_xi"] > 1e-12
+    assert rep["eta_xi"] > 1e-12
 
 
 def test_axioms_catch_bad_trace():
@@ -34,7 +34,7 @@ def test_axioms_catch_bad_trace():
     phi = np.array(s.phi)
     phi[:, 1] = E[1]  # phi e1 = e1 breaks tr phi = 0
     rep = verify_axioms(AprStructure(phi=phi, xi=s.xi, eta=s.eta, metric=s.metric))
-    assert rep.residuals["trace_phi"] > 1e-12
+    assert rep["trace_phi"] > 1e-12
 
 
 def test_phi_apply():
