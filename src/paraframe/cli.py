@@ -299,7 +299,8 @@ def main(argv: list[str] | None = None) -> int:
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except ValueError as exc:
+    except (ValueError, ArithmeticError) as exc:
+        # ArithmeticError: an input whose values overflow the pipeline
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

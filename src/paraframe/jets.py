@@ -26,14 +26,18 @@ entries of the product table whose target has at most that degree: 84 of
 them at degree 3 (the immersion), 28 at degree 2 (the frame, built from
 first derivatives) and 7 at degree 1 (the brackets).  The product gathers
 both operands over the table's index arrays and adds the terms into their
-targets with one `np.bincount`, offset per leading cell.  `bincount` adds
-in input order, starting from +0.0, which is the table order, so each
-target coefficient is the same sequence of additions as a loop over the
-table, bit for bit; a truncated table is a subsequence of the full one
-that keeps every entry of the targets it keeps, and no kept target reads
-a coefficient above its own degree, so dropping the coefficients above a
-jet's degree changes no bit of any coefficient that is kept.  `sum` adds
-along axes in the same sequential order.
+targets with one `np.bincount`, offset per leading cell, against flat
+targets built at import for 256 cells.  A product over more cells runs in
+blocks of at most 256 cells, each against a prefix of the same targets, so
+no product builds its own and a block's arrays do not grow with the batch.
+`bincount` adds in input order, starting from +0.0, which is the table
+order, so each target coefficient is the same sequence of additions as a
+loop over the table, bit for bit, in any block; a truncated table is a
+subsequence of the full one that keeps every entry of the targets it
+keeps, and no kept target reads a coefficient above its own degree, so
+dropping the coefficients above a jet's degree changes no bit of any
+coefficient that is kept.  `sum` adds along axes in the same sequential
+order.
 
 Smooth functions compose through the powers h, h^2, h^3 of a jet's
 nilpotent part.  `sincos` and `sinhcosh` share those powers between the two
@@ -128,13 +132,39 @@ def _flat_targets(deg: int, cells: int) -> np.ndarray:
 
 #: The flat targets of the first k cells do not depend on the cell count,
 #: so a product over at most _FLAT_CELLS cells reads a prefix of _FLAT[deg],
-#: built at import; a larger one builds its own.  A point's largest product
-#: has 27 cells, so every product of up to 9 points reads the table, whose
-#: 0.24 MB do not grow with CHUNK.
+#: built at import; a larger one runs in blocks of at most _FLAT_CELLS cells
+#: (`_blocked_product`), each reading a prefix of the same table.  A point's
+#: largest product has 27 cells, so every product of up to 9 points is one
+#: block, and neither the table's 0.24 MB nor a block's arrays grow with CHUNK.
 _FLAT_CELLS = 256
 _FLAT = [_flat_targets(deg, _FLAT_CELLS) for deg in range(ORDER + 1)]
 for _flat in _FLAT:
     _flat.flags.writeable = False
+
+
+def _blocked_product(a: np.ndarray, b: np.ndarray, deg: int) -> np.ndarray:
+    """The degree-`deg` product coefficients of a and b, broadcast over their
+    leading axes, _FLAT_CELLS cells at a time.
+
+    The operands, cut to degree `deg`, are broadcast and flattened to one row
+    per cell (a copy only where an operand broadcasts); each block gathers
+    its rows over the product table and adds them with one `np.bincount`
+    against a prefix of _FLAT[deg], so each cell's terms are added in table
+    order, as in a single-block product.
+    """
+    left, right, _ = _MUL[deg]
+    n = _NC[deg]
+    lead = np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
+    cells = math.prod(lead)
+    a = np.broadcast_to(_cut(a, deg), lead + (n,)).reshape(cells, n)
+    b = np.broadcast_to(_cut(b, deg), lead + (n,)).reshape(cells, n)
+    out = np.empty((cells, n))
+    for start in range(0, cells, _FLAT_CELLS):
+        block = slice(start, start + _FLAT_CELLS)
+        terms = a[block, left] * b[block, right]
+        out[block] = np.bincount(_FLAT[deg][: terms.size], weights=terms.ravel(),
+                                 minlength=len(terms) * n).reshape(-1, n)
+    return out.reshape(lead + (n,))
 
 
 def _cut(c: np.ndarray, deg: int) -> np.ndarray:
@@ -272,15 +302,19 @@ class TJet:
         if not isinstance(other, TJet):
             return TJet(self.c * TJet._scale(other), self.deg)
         deg = min(self.deg, other.deg)
+        n = _NC[deg]
+        # an operand larger than one block of degree-deg coefficients is
+        # blocked before any full-size gather; the cell count of the terms
+        # catches smaller operands that broadcast past one block
+        if self.c.size > _FLAT_CELLS * n or other.c.size > _FLAT_CELLS * n:
+            return TJet(_blocked_product(self.c, other.c, deg), deg)
         left, right, target = _MUL[deg]
         terms = self.c[..., left] * other.c[..., right]
         lead = terms.shape[:-1]
         cells = math.prod(lead)
-        n = _NC[deg]
-        if cells <= _FLAT_CELLS:
-            flat = _FLAT[deg][: cells * len(target)]
-        else:
-            flat = _flat_targets(deg, cells)
+        if cells > _FLAT_CELLS:
+            return TJet(_blocked_product(self.c, other.c, deg), deg)
+        flat = _FLAT[deg][: cells * len(target)]
         out = np.bincount(flat, weights=terms.ravel(), minlength=cells * n)
         return TJet(out.reshape(lead + (n,)), deg)
 

@@ -63,13 +63,14 @@ class PointAnalysis:
 
 
 #: Points per call of the pipeline.  On a 2-core VM (Python 3.11, numpy 2.4)
-#: a `_batches` call costs about 3 ms plus 0.2 ms per point, on s1 and s2
-#: alike, so at 8 points the fixed part is still 60% and at 32 a third.
-#: The stages' arrays grow with the chunk, and this bounds their transient
-#: memory: 32 points peak at about 0.8 MB (tracemalloc), and the sweep-grid
-#: benchmark's peak RSS is 2.6% above that of chunks of 8 (BENCH_9.json),
-#: too close to its 5% bound to take 64.
-CHUNK = 32
+#: a `_batches` call costs about 1.9 ms plus 0.12 ms per point, on s1 and s2
+#: alike, so the fixed part is two thirds at 8 points, a third at 32 and a
+#: fifth at 64, where the 54 in-domain rows of a sweep-grid benchmark call
+#: are one chunk.  The stages' arrays grow with the chunk, but jet products
+#: over more than 256 cells run in blocks, so 64 points peak at 0.94 MB
+#: (tracemalloc; 1.49 MB unblocked), and the sweep-grid benchmark's peak RSS
+#: is 0.4% above that of chunks of 32 (BENCH_12.json).
+CHUNK = 64
 
 
 def _chunked(points: Sequence[ModelPoint]) -> Iterator[list[ModelPoint]]:
@@ -373,6 +374,8 @@ def _format_float(x) -> str:
 
 
 def format_scalar(x) -> str:
+    if type(x) is float:
+        return format(x, ".17g")
     if isinstance(x, bool):
         return "true" if x else "false"
     if isinstance(x, float):
@@ -390,8 +393,23 @@ def _json_escape(s: str) -> str:
     return '"' + s.translate(_JSON_ESCAPES) + '"'
 
 
+#: JSON text of a plain Python scalar, by its exact type (None and bool,
+#: which have no subclasses, only here); anything else (containers, numpy
+#: scalars, other objects) takes the isinstance chain.
+_JSON_SCALARS = {
+    float: lambda x: format(x, ".17g"),
+    str: _json_escape,
+    bool: lambda x: "true" if x else "false",
+    int: str,
+    type(None): lambda x: "null",
+}
+
+
 def render_json(obj, indent: int = 0) -> str:
     """Deterministic JSON: insertion-ordered keys, floats at 17 digits."""
+    scalar = _JSON_SCALARS.get(type(obj))
+    if scalar is not None:
+        return scalar(obj)
     pad = "  " * indent
     inner = "  " * (indent + 1)
     if isinstance(obj, dict):
@@ -407,10 +425,6 @@ def render_json(obj, indent: int = 0) -> str:
             return "[]"
         items = [f"{inner}{render_json(v, indent + 1)}" for v in obj]
         return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
@@ -428,7 +442,11 @@ def _leaves(obj, sep: str, prefix: str = ""):
         if not obj:
             yield prefix, None
         for k, v in obj.items():
-            yield from _leaves(v, sep, f"{prefix}.{k}" if prefix else str(k))
+            key = f"{prefix}.{k}" if prefix else str(k)
+            if isinstance(v, (dict, list, tuple)):
+                yield from _leaves(v, sep, key)
+            else:
+                yield key, format_scalar(v)
     elif isinstance(obj, (list, tuple)):
         if all(not isinstance(v, (dict, list, tuple)) for v in obj):
             yield prefix, "[" + sep.join(format_scalar(v) for v in obj) + "]"
@@ -482,6 +500,8 @@ SWEEP_COLUMNS = [
 
 
 def _csv_field(v) -> str:
+    if type(v) is float:  # 17 digits never hold a comma, quote or newline
+        return format(v, ".17g")
     s = v if isinstance(v, str) else format_scalar(v)
     if any(ch in s for ch in ',"\n'):
         return '"' + s.replace('"', '""') + '"'

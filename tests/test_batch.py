@@ -268,11 +268,13 @@ def test_sweep_rows_equal_their_points(sweep):
 
 
 #: Bound on the tracemalloc peak of one `_batches` call on a full CHUNK of
-#: points.  Measured at CHUNK = 32 (numpy 2.4): 782 KB on either model, with
-#: jets stored to their degree; the bound leaves a 25% margin.  Jets holding
-#: all 20 coefficients at every degree peaked at 1660 KB, so widening the
-#: storage again, or a larger CHUNK, fails here before it shows in a
-#: process's resident memory.
+#: points.  Measured at CHUNK = 64 (numpy 2.4): 943 KB on s1 and 942 KB on
+#: s2, 4% under the bound, with jets stored to their degree and products over
+#: more than 256 cells run in blocks.  Without the blocks, 64 points peaked at
+#: 1486 KB, and jets holding all 20 coefficients at every degree peaked at
+#: 1660 KB at 32 points, so unblocking the products, widening the storage
+#: again or a larger CHUNK fails here before it shows in a process's resident
+#: memory.
 PEAK_BOUND = 980 * 1024
 
 

@@ -158,6 +158,16 @@ def test_sweep_reports_first_failing_point_error(capsys, grid, message):
     assert err.strip() == message
 
 
+@pytest.mark.parametrize("command, flag", [("classify", "--point"), ("sweep", "--grid")])
+def test_overflow_is_an_error_not_a_crash(capsys, command, flag):
+    # cosh(800) overflows a float: exit 2 with one error line, not a traceback
+    # and not the verification-FAIL code 1
+    code, out, err = run_cli(capsys, command, "--model", "s2", flag, "0.5,0.7,800")
+    assert code == 2
+    assert out == ""
+    assert err.strip() == "error: math range error"
+
+
 def test_config_file_and_flag_override(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(

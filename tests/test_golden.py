@@ -67,9 +67,9 @@ def _cases() -> dict[str, list[str]]:
         cases[f"sweep_s1_{fmt}"] = [
             "sweep", "--model", "s1", "--r", "1", "--grid", SWEEP_GRID, "--format", fmt,
         ]
-    # runs that cross analysis chunk boundaries: 19 samples (chunks of 8, 8
-    # and 3) on either model, and a 45-row grid whose u1 = 0 rows (9 of
-    # them) sit between the analysed rows
+    # several points per analysis chunk: 19 samples on either model, and a
+    # 45-row grid whose u1 = 0 rows (9 of them) sit between the analysed
+    # rows; each is one chunk at CHUNK = 64
     cases["verify_s2_chunks_json"] = [
         "verify", "--model", "s2", "--r", "2", "--samples", "19", "--seed", "5", "--format", "json",
     ]
@@ -79,10 +79,9 @@ def _cases() -> dict[str, list[str]]:
     cases["sweep_s2_chunks_csv"] = [
         "sweep", "--model", "s2", "--r", "1", f"--grid={CHUNK_GRID}", "--format", "csv",
     ]
-    # the same at the wide chunk of a sweep batch (CHUNK = 32): 43 samples
-    # (chunks of 32 and 11) on either model, and a 108-row grid whose 72
-    # in-domain rows span three chunks, with runs of skipped u1 = pi/2 rows
-    # inside them
+    # the same at wider chunks: 43 samples (one chunk) on either model, and
+    # a 108-row grid whose 72 in-domain rows split 64 + 8, with runs of
+    # skipped u1 = pi/2 rows inside the chunks
     cases["verify_s1_wide_json"] = [
         "verify", "--model", "s1", "--r", "0.5", "--samples", "43", "--seed", "9", "--format", "json",
     ]
@@ -91,6 +90,14 @@ def _cases() -> dict[str, list[str]]:
     ]
     cases["sweep_s1_wide_csv"] = [
         "sweep", "--model", "s1", "--r", "1", f"--grid={WIDE_GRID}", "--format", "csv",
+    ]
+    # across the CHUNK = 64 boundary: 70 samples (chunks of 64 and 6) on
+    # either model
+    cases["verify_s1_split_json"] = [
+        "verify", "--model", "s1", "--r", "2", "--samples", "70", "--seed", "13", "--format", "json",
+    ]
+    cases["verify_s2_split_json"] = [
+        "verify", "--model", "s2", "--samples", "70", "--seed", "13", "--format", "json",
     ]
     return cases
 

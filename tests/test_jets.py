@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from paraframe import jets
 from paraframe.hypersurface import MODELS, immerse, orthonormal_frame, sample_points
-from paraframe.jets import _MONOMIALS, _MUL_TABLE, TJet, _cut, _elementwise, partials
+from paraframe.jets import _FLAT_CELLS, _MONOMIALS, _MUL_TABLE, TJet, _cut, _elementwise, partials
 
 
 def test_variable_seed():
@@ -178,8 +179,8 @@ def _assert_kept(jet: TJet, deg: int, full: np.ndarray) -> None:
     assert np.array_equal(_bits(jet.c), _bits(full[..., : KEPT[deg]]))
 
 
-# leading shapes of 6 and 288 cells: products over more than 256 cells
-# build their own flat targets instead of reading the import-time table
+# leading shapes of 6 and 288 cells: a product over more than 256 cells
+# runs in blocks
 @pytest.mark.parametrize("shapes", [((2, 3), (3,)), ((18, 16), (16,))])
 @pytest.mark.parametrize("dx,dy", [(3, 3), (3, 2), (2, 3), (2, 1), (1, 3), (1, 1)])
 def test_mixed_degree_arithmetic_is_the_full_width_loop(dx, dy, shapes):
@@ -200,6 +201,46 @@ def test_mixed_degree_arithmetic_is_the_full_width_loop(dx, dy, shapes):
     for var in range(3):
         _assert_kept(x.deriv(var), dx - 1, _loop_deriv(fx, var))
         _assert_kept(y.deriv(var), dy - 1, _loop_deriv(fy, var))
+
+
+def _no_table(deg, cells):
+    raise AssertionError(f"a product built its own flat targets ({cells} cells)")
+
+
+# 257 to 1,000 cells, with operands broadcast against each other or against
+# one cell; 200 cells of a degree-3 operand times a degree-1 one take the
+# blocked path as a single block
+@pytest.mark.parametrize(
+    "shapes",
+    [((257,), (257,)), ((40, 3, 1), (40, 1, 3)), ((1000,), (1,)), ((37, 3, 3), (3,)),
+     ((40, 6, 1), (1, 4)), ((200,), (200,))],
+)
+@pytest.mark.parametrize("dx,dy", [(1, 1), (2, 2), (3, 3), (3, 1), (2, 3)])
+def test_blocked_product_is_the_product_of_its_blocks(monkeypatch, shapes, dx, dy):
+    # each cell's terms add in table order whatever the cell count, so the
+    # blocked product is bitwise the same cells multiplied 256 at a time, and
+    # no product builds a flat-target table after import
+    monkeypatch.setattr(jets, "_flat_targets", _no_table)
+    x, y = _random_jet(3 * dx, shapes[0], dx), _random_jet(5 * dy, shapes[1], dy)
+    x.c[0] = -0.0
+    deg = min(dx, dy)
+    lead = np.broadcast_shapes(*shapes)
+    got = x * y
+    assert got.deg == deg and got.shape == lead
+
+    def rows(j):
+        return np.broadcast_to(j.c, lead + j.c.shape[-1:]).reshape(-1, j.c.shape[-1])
+
+    fx, fy = rows(x), rows(y)
+    blocks = [
+        (TJet(fx[start : start + _FLAT_CELLS], dx) * TJet(fy[start : start + _FLAT_CELLS], dy)).c
+        for start in range(0, len(fx), _FLAT_CELLS)
+    ]
+    assert np.array_equal(_bits(got.c.reshape(-1, KEPT[deg])), _bits(np.concatenate(blocks)))
+    # and each cell alone
+    for n in (0, 1, len(fx) // 2, len(fx) - 1):
+        alone = TJet(fx[n], dx) * TJet(fy[n], dy)
+        assert np.array_equal(_bits(got.c.reshape(-1, KEPT[deg])[n]), _bits(alone.c))
 
 
 def test_degree_zero_jet_has_no_derivative():
