@@ -212,29 +212,16 @@ def make_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _emit(report: dict, fmt: str) -> None:
-    if fmt == "json":
-        print(render_json(report))
-    elif fmt == "csv":
-        print(render_csv(report))
-    else:
-        print(render_text(report))
+    print({"json": render_json, "csv": render_csv, "text": render_text}[fmt](report))
 
 
-def _require_point(cfg: RunConfig) -> ModelPoint:
+def cmd_point(cfg: RunConfig) -> int:
+    """classify or curvature: the command's report at --point."""
     if cfg.point is None:
         raise UsageError(f"{cfg.command} needs --point u0,u1,u2")
-    return ModelPoint(model=cfg.model, r=cfg.r, u=cfg.point)
-
-
-def cmd_classify(cfg: RunConfig) -> int:
-    report = classify_report(_require_point(cfg), cfg.tol)
-    _emit(report, cfg.fmt)
-    return 0
-
-
-def cmd_curvature(cfg: RunConfig) -> int:
-    report = curvature_report(_require_point(cfg), cfg.tol)
-    _emit(report, cfg.fmt)
+    # module globals, read per call, so a binding patched here is the one run
+    build = classify_report if cfg.command == "classify" else curvature_report
+    _emit(build(ModelPoint(model=cfg.model, r=cfg.r, u=cfg.point), cfg.tol), cfg.fmt)
     return 0
 
 
@@ -287,19 +274,16 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = make_config(args)
         handler = {
-            "classify": cmd_classify,
-            "curvature": cmd_curvature,
+            "classify": cmd_point,
+            "curvature": cmd_point,
             "verify": cmd_verify,
             "sweep": cmd_sweep,
         }[cfg.command]
         return handler(cfg)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except (ValueError, ArithmeticError) as exc:
+    except (UsageError, ValueError, ArithmeticError) as exc:
         # ArithmeticError: an input whose values overflow the pipeline
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

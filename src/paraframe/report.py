@@ -1,8 +1,10 @@
 """Point analysis, verification suite and deterministic serialization.
 
-Reports are plain dicts with a fixed key order; the JSON and CSV renderers
-format every scalar with 17 significant digits, so identical configurations
-produce byte-identical artifacts.
+Reports are plain dicts with a fixed key order.  Their scalars are plain
+`float`, `int`, `bool` and `str`, and `None` in JSON only (as null); the
+renderers format each by its exact type, floats at 17 significant digits, so
+identical configurations produce byte-identical artifacts.  Any other type,
+a numpy scalar included, is a TypeError.
 """
 
 from __future__ import annotations
@@ -91,9 +93,10 @@ def analyze_points(points: Sequence[ModelPoint], tol: float) -> list[PointAnalys
     The whole pipeline, from the jet stages (immerse, orthonormal_frame,
     bracket_field) to the residuals, runs once per chunk of points (see
     `_chunked`), each point a row of the batched arrays; only the closed-form
-    reference is evaluated point by point.  Every result is bitwise the
-    result for that point alone.  If a chunk raises, it is run again one
-    point at a time, so the error raised is the first failing point's own.
+    reference, the sphere residual and kappa are evaluated point by point.
+    Every result is bitwise the result for that point alone.  If a chunk
+    raises, it is run again one point at a time, so the error raised is the
+    first failing point's own.
     """
     return [
         _point(b, n)
@@ -108,8 +111,10 @@ def analyze_point(p: ModelPoint, tol: float) -> PointAnalysis:
     return analyze_points([p], tol)[0]
 
 
-#: The planes span{e_a, e_b} of the reported sectional curvatures k_ab.
+#: The planes span{e_a, e_b} of the reported sectional curvatures k_ab, and
+#: their report keys.
 _PLANES = tuple((np.eye(DIM)[a], np.eye(DIM)[b]) for a, b in ((0, 1), (0, 2), (1, 2)))
+_SECTIONAL_KEYS = ("k_01", "k_02", "k_12")
 
 
 def _batches(chunk: list[ModelPoint], tol: float) -> list[PointAnalysis]:
@@ -125,7 +130,7 @@ def _batches(chunk: list[ModelPoint], tol: float) -> list[PointAnalysis]:
         gram = fc.a @ fc.metric @ np.swapaxes(fc.a, -1, -2)
         residuals = {
             "on_sphere": np.array([sphere_residual(p, z) for p, z in zip(chunk, jet.value)]),
-            "frame_gram": fc.gram_defect(),
+            "frame_gram": max_abs(gram - np.eye(DIM), 2),
             "structure_axioms": metric_compat(STANDARD, gram),
             "bracket_vs_closed_form": max_abs(sf.c - np.stack([ref.c for ref in refs]), 3),
             "bracket_deriv_vs_closed_form": max_abs(sf.dc - np.stack([ref.dc for ref in refs]), 4),
@@ -241,7 +246,7 @@ def classify_report(p: ModelPoint, tol: float) -> dict:
     return {
         "command": "classify",
         "model": p.model,
-        "r": p.r,
+        "r": float(p.r),
         "point": [float(x) for x in p.u],
         "classes": _class_names(a.label),
         "is_f0": a.label.is_f0,
@@ -254,20 +259,17 @@ def classify_report(p: ModelPoint, tol: float) -> dict:
 
 def curvature_report(p: ModelPoint, tol: float) -> dict:
     a = analyze_point(p, tol)
-    k01, k02, k12 = a.k
     return {
         "command": "curvature",
         "model": p.model,
-        "r": p.r,
+        "r": float(p.r),
         "point": [float(x) for x in p.u],
         "curvature_components": _entries("R", a.curvature),
         "ricci": _entries("rho", a.ricci),
         "ricci_star": _entries("rho_star", a.ricci_star),
         "tau": a.tau,
         "tau_star": a.tau_star,
-        "k_01": k01,
-        "k_02": k02,
-        "k_12": k12,
+        **dict(zip(_SECTIONAL_KEYS, a.k)),
         "kappa": a.kappa,
         "space_form_residual": a.residuals["space_form"],
         "status": a.status,
@@ -369,18 +371,22 @@ def run_verify(model: str, r: float, samples: int, seed: int, tol: float) -> dic
 # ---------------------------------------------------------------------------
 
 
-def _format_float(x) -> str:
-    return format(float(x), ".17g")
+#: Text of each scalar type a report may hold, keyed by exact type, so a
+#: numpy scalar or a subclass of float or str has no entry.
+_SCALARS = {
+    float: lambda x: format(x, ".17g"),
+    bool: lambda x: "true" if x else "false",
+    int: str,
+    str: str,
+}
 
 
 def format_scalar(x) -> str:
-    if type(x) is float:
-        return format(x, ".17g")
-    if isinstance(x, bool):
-        return "true" if x else "false"
-    if isinstance(x, float):
-        return _format_float(x)
-    return str(x)
+    """The text of scalar x; a type `_SCALARS` lacks is a TypeError."""
+    text = _SCALARS.get(type(x))
+    if text is None:
+        raise TypeError(f"cannot render a value of type {type(x).__name__}")
+    return text(x)
 
 
 #: JSON string escapes: \" and \\ for quote and backslash, \u00XX below 0x20.
@@ -393,16 +399,8 @@ def _json_escape(s: str) -> str:
     return '"' + s.translate(_JSON_ESCAPES) + '"'
 
 
-#: JSON text of a plain Python scalar, by its exact type (None and bool,
-#: which have no subclasses, only here); anything else (containers, numpy
-#: scalars, other objects) takes the isinstance chain.
-_JSON_SCALARS = {
-    float: lambda x: format(x, ".17g"),
-    str: _json_escape,
-    bool: lambda x: "true" if x else "false",
-    int: str,
-    type(None): lambda x: "null",
-}
+#: JSON escapes strings and adds null.
+_JSON_SCALARS = {**_SCALARS, str: _json_escape, type(None): lambda x: "null"}
 
 
 def render_json(obj, indent: int = 0) -> str:
@@ -410,26 +408,18 @@ def render_json(obj, indent: int = 0) -> str:
     scalar = _JSON_SCALARS.get(type(obj))
     if scalar is not None:
         return scalar(obj)
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
     if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [
-            f"{inner}{_json_escape(str(k))}: {render_json(v, indent + 1)}"
-            for k, v in obj.items()
-        ]
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = [f"{inner}{render_json(v, indent + 1)}" for v in obj]
-        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _format_float(obj)
-    return _json_escape(str(obj))
+        brackets = "{}"
+        items = [f"{_json_escape(str(k))}: {render_json(v, indent + 1)}" for k, v in obj.items()]
+    elif isinstance(obj, (list, tuple)):
+        brackets = "[]"
+        items = [render_json(v, indent + 1) for v in obj]
+    else:
+        return format_scalar(obj)  # a type neither table holds: a TypeError
+    if not items:
+        return brackets
+    pad = "\n" + "  " * indent
+    return brackets[0] + pad + "  " + ("," + pad + "  ").join(items) + pad + brackets[1]
 
 
 def _leaves(obj, sep: str, prefix: str = ""):
@@ -462,50 +452,14 @@ def render_text(obj) -> str:
     return "\n".join("" if v is None else f"{k} = {v}" for k, v in _leaves(obj, ", "))
 
 
-SWEEP_COLUMNS = [
-    "model",
-    "r",
-    "u0",
-    "u1",
-    "u2",
-    "status",
-    "warning",
-    "classes",
-    "is_f0",
-    "class_residual",
-    "theta_0",
-    "theta_1",
-    "theta_2",
-    "theta_star_0",
-    "omega_1",
-    "omega_2",
-    "lam",
-    "mu",
-    "nu",
-    "tau",
-    "tau_star",
-    "k_01",
-    "k_02",
-    "k_12",
-    "space_form_residual",
-    "R_0101",
-    "R_0202",
-    "R_1212",
-    "rho_00",
-    "rho_11",
-    "rho_22",
-    "rho_star_12",
-    "max_residual",
-]
-
-
 def _csv_field(v) -> str:
-    if type(v) is float:  # 17 digits never hold a comma, quote or newline
-        return format(v, ".17g")
-    s = v if isinstance(v, str) else format_scalar(v)
-    if any(ch in s for ch in ',"\n'):
-        return '"' + s.replace('"', '""') + '"'
-    return s
+    """A string quoted if it holds a comma, quote or newline; the text of a
+    number or bool never does, so it skips the scan."""
+    if type(v) is not str:
+        return format_scalar(v)
+    if any(ch in v for ch in ',"\n'):
+        return '"' + v.replace('"', '""') + '"'
+    return v
 
 
 def render_csv(report: dict) -> str:
@@ -563,6 +517,17 @@ _SWEEP_ENTRIES = (
     ("rho_star_12", "ricci_star", (1, 2)),
 )
 
+#: The class parameters of a sweep row, read off the decomposition.
+_SWEEP_PARAMS = ("theta_0", "theta_1", "theta_2", "theta_star_0", "omega_1", "omega_2",
+                 "lam", "mu", "nu")
+
+#: The columns of a sweep row: the grid point, then `_batch_rows`' fields.
+SWEEP_COLUMNS = [
+    "model", "r", "u0", "u1", "u2", "status", "warning", "classes", "is_f0", "class_residual",
+    *_SWEEP_PARAMS, "tau", "tau_star", *_SECTIONAL_KEYS, "space_form_residual",
+    *(key for key, _, _ in _SWEEP_ENTRIES), "max_residual",
+]
+
 
 def _batch_rows(b: PointAnalysis) -> list[dict]:
     """The sweep fields of each point of a batched analysis, in order; every
@@ -570,12 +535,10 @@ def _batch_rows(b: PointAnalysis) -> list[dict]:
     res = b.residuals
     columns = {
         "class_residual": res["class_decomposition"].tolist(),
-        **{key: b.decomposition.params[key].tolist()
-           for key in ("theta_0", "theta_1", "theta_2", "theta_star_0", "omega_1", "omega_2",
-                       "lam", "mu", "nu")},
+        **{key: b.decomposition.params[key].tolist() for key in _SWEEP_PARAMS},
         "tau": b.tau.tolist(),
         "tau_star": b.tau_star.tolist(),
-        **{key: kab.tolist() for key, kab in zip(("k_01", "k_02", "k_12"), b.k)},
+        **{key: kab.tolist() for key, kab in zip(_SECTIONAL_KEYS, b.k)},
         "space_form_residual": res["space_form"].tolist(),
         **{key: [v if abs(v) > REPORT_EPS else 0.0 for v in getattr(b, name)[(..., *idx)].tolist()]
            for key, name, idx in _SWEEP_ENTRIES},

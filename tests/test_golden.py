@@ -31,7 +31,17 @@ from paraframe.hypersurface import (
     sample_points,
 )
 from paraframe.jets import partials
-from paraframe.report import REPORT_EPS, _entries, render_csv, render_text
+from paraframe.hypersurface import ModelPoint
+from paraframe.report import (
+    REPORT_EPS,
+    _entries,
+    classify_report,
+    curvature_report,
+    render_csv,
+    render_json,
+    render_sweep_csv,
+    render_text,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -143,6 +153,24 @@ def test_render_edge_cases():
     assert render_csv(EDGE_REPORT) == 'b,c[0].x,f,g,h\n[],1.5,true,"q,""",[1; 2.5; false]'
     assert render_text({}) == ""
     assert render_text(0.1) == " = 0.10000000000000001"
+
+
+@pytest.mark.parametrize(
+    "render", [render_json, render_text, render_csv, lambda row: render_sweep_csv([row])]
+)
+def test_renderers_reject_numpy_scalars(render):
+    # a report holds plain Python scalars only; a numpy one is not formatted
+    with pytest.raises(TypeError, match="float64"):
+        render({"model": "s1", "r": np.float64(2.0)})
+
+
+@pytest.mark.parametrize("build", [classify_report, curvature_report])
+def test_point_reports_take_a_numpy_radius(build):
+    u = np.array([0.6, 1.0, 0.5])
+    plain = build(ModelPoint(model="s2", r=2.0, u=u), 1e-9)
+    numpy_r = build(ModelPoint(model="s2", r=np.float64(2.0), u=u), 1e-9)
+    for render in (render_json, render_text, render_csv):
+        assert render(numpy_r) == render(plain)
 
 
 def _loop_entries(name: str, t: np.ndarray) -> dict[str, float]:
