@@ -47,7 +47,7 @@ from .hypersurface import (
     structure_field,
 )
 from .nijenhuis import assoc_nijenhuis_from_F, nijenhuis_direct, nijenhuis_from_F
-from .structure import AprStructure, standard_structure, verify_axioms
+from .structure import verify_axioms
 from .tensors import (
     DIM,
     contract_metric,

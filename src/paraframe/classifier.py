@@ -6,7 +6,8 @@ type decides the class of the manifold: in dimension 3 only the basic
 classes F1, F4, F5, F8, F9, F10, F11 (and direct sums) can occur, and each
 admissible class contributes one explicit component tensor parametrized by
 the Lee forms.  The decomposition residual flags any F that does not come
-from a valid structure.
+from a valid structure.  Every function works in the adapted frame of
+`structure` (xi = e0, phi swapping e1 and e2) and reads its constants.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .frame import ConnectionCoeffs
-from .structure import AprStructure
+from .structure import ETA, PHI, XI
 from .tensors import DIM, as_tensor, max_abs
 
 #: Classes that can be nonzero in dimension 3; F2, F3, F6, F7 vanish identically.
@@ -68,30 +69,28 @@ class ClassLabel:
         return " + ".join(f"F{s}" for s in self.classes)
 
 
-def fundamental_tensor(conn: ConnectionCoeffs, s: AprStructure) -> np.ndarray:
+def fundamental_tensor(conn: ConnectionCoeffs) -> np.ndarray:
     """F[i, j, k] = g((nabla_{e_i} phi) e_j, e_k) in the adapted frame.
 
     phi has constant frame components, so the covariant derivative reduces
     to two Gamma contractions.
     """
-    p = s.phi
     g = conn.gamma
-    return np.einsum("mj,...imk->...ijk", p, g) - np.einsum("km,...ijm->...ijk", p, g)
+    return np.einsum("mj,...imk->...ijk", PHI, g) - np.einsum("km,...ijm->...ijk", PHI, g)
 
 
-def f_symmetry_residuals(f: np.ndarray, s: AprStructure):
+def f_symmetry_residuals(f: np.ndarray):
     """Max-norms of the two defining symmetry properties of F, per point.
 
     First: F(x, y, z) = F(x, z, y).  Second: F(x, y, z) =
     -F(x, phi y, phi z) + eta(y) F(x, xi, z) + eta(z) F(x, y, xi).
     """
     f = as_tensor(f, 3, batched=True)
-    p, eta = s.phi, s.eta
     first = max_abs(f - np.swapaxes(f, -2, -1), 3)
     rebuilt = (
-        -np.einsum("aj,bk,...iab->...ijk", p, p, f)
-        + np.einsum("j,...imk,m->...ijk", eta, f, s.xi)
-        + np.einsum("k,...ijm,m->...ijk", eta, f, s.xi)
+        -np.einsum("aj,bk,...iab->...ijk", PHI, PHI, f)
+        + np.einsum("j,...imk,m->...ijk", ETA, f, XI)
+        + np.einsum("k,...ijm,m->...ijk", ETA, f, XI)
     )
     return first, max_abs(f - rebuilt, 3)
 
@@ -199,10 +198,10 @@ def classify(d: FDecomposition, tol) -> ClassLabel | list[ClassLabel]:
     return labels if present.ndim > 1 else labels[0]
 
 
-def check_nabla_eta_relation(conn: ConnectionCoeffs, f: np.ndarray, s: AprStructure):
+def check_nabla_eta_relation(conn: ConnectionCoeffs, f: np.ndarray):
     """Residual of (nabla_x eta)(y) = -F(x, phi y, xi) over all frame pairs,
     per point."""
     f = as_tensor(f, 3, batched=True)
     lhs = conn.gamma[..., :, 0, :]
-    rhs = -np.einsum("mj,...imk,k->...ij", s.phi, f, s.xi)
+    rhs = -np.einsum("mj,...imk,k->...ij", PHI, f, XI)
     return max_abs(lhs - rhs, 2)

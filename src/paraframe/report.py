@@ -19,7 +19,7 @@ from . import classifier, frame, nijenhuis, tensors
 from .hypersurface import ModelPoint, bracket_field, immerse, orthonormal_frame
 from .hypersurface import sample_points, sphere_residual
 from .reference import ModelReference, model_reference
-from .structure import STANDARD, metric_compat
+from .structure import ETA, PHI, metric_compat
 from .tensors import DIM, max_abs
 
 #: Entries smaller than this are dropped from "nonzero component" listings.
@@ -33,9 +33,8 @@ REPORT_EPS = 1e-12
 
 @dataclass(frozen=True, eq=False)
 class PointAnalysis:
-    """Every stage of the pipeline at one point (the structure is always
-    `STANDARD`), with its identity residuals and the closed-form targets
-    they are checked against.
+    """Every stage of the pipeline at one point, with its identity residuals
+    and the closed-form targets they are checked against.
 
     `_analyze_field` builds one for a whole chunk of points: then every
     array, scalar and residual carries a leading point axis, and `label`,
@@ -131,7 +130,7 @@ def _batches(chunk: list[ModelPoint], tol: float) -> list[PointAnalysis]:
         residuals = {
             "on_sphere": np.array([sphere_residual(p, z) for p, z in zip(chunk, jet.value)]),
             "frame_gram": max_abs(gram - np.eye(DIM), 2),
-            "structure_axioms": metric_compat(STANDARD, gram),
+            "structure_axioms": metric_compat(gram),
             "bracket_vs_closed_form": max_abs(sf.c - np.stack([ref.c for ref in refs]), 3),
             "bracket_deriv_vs_closed_form": max_abs(sf.dc - np.stack([ref.dc for ref in refs]), 4),
         }
@@ -150,23 +149,22 @@ def _analyze_field(sf: frame.StructureField, kappa: np.ndarray, refs: list[Model
                    residuals: dict[str, np.ndarray], tol: float) -> PointAnalysis:
     """The algebraic tail of `_batches` on a batched StructureField; `refs`
     are stored as given, and the front's `residuals` come first."""
-    s = STANDARD
     conn = frame.koszul(sf)
 
-    f = classifier.fundamental_tensor(conn, s)
+    f = classifier.fundamental_tensor(conn)
     lee = classifier.lee_forms(f)
     decomp = classifier.class_components(f, lee)
     labels = classifier.classify(decomp, classifier.classification_tol(f))
 
-    n_f = nijenhuis.nijenhuis_from_F(f, s)
-    hn_f = nijenhuis.assoc_nijenhuis_from_F(f, s)
-    n_d, hn_d = nijenhuis.nijenhuis_direct(conn, sf, s)
+    n_f = nijenhuis.nijenhuis_from_F(f)
+    hn_f = nijenhuis.assoc_nijenhuis_from_F(f)
+    n_d, hn_d = nijenhuis.nijenhuis_direct(conn, sf)
 
     r4 = frame.curvature(conn, sf)
     rho = tensors.contract_metric(r4)
-    rho_star = tensors.contract_metric(r4, s.phi)
+    rho_star = tensors.contract_metric(r4, PHI)
 
-    fs1, fs2 = classifier.f_symmetry_residuals(f, s)
+    fs1, fs2 = classifier.f_symmetry_residuals(f)
     rsym = tensors.curvature_symmetry_residuals(r4)
     residuals = {
         **residuals,
@@ -178,7 +176,7 @@ def _analyze_field(sf: frame.StructureField, kappa: np.ndarray, refs: list[Model
         "lee_omega_0": np.abs(lee.omega[:, 0]),
         "lee_theta1_plus_thetastar2": np.abs(lee.theta[:, 1] + lee.theta_star[:, 2]),
         "lee_theta2_plus_thetastar1": np.abs(lee.theta[:, 2] + lee.theta_star[:, 1]),
-        "nabla_eta_relation": classifier.check_nabla_eta_relation(conn, f, s),
+        "nabla_eta_relation": classifier.check_nabla_eta_relation(conn, f),
         "class_decomposition": decomp.residual,
         "nijenhuis_cross_route": max_abs(n_f - n_d, 3),
         "assoc_nijenhuis_cross_route": max_abs(hn_f - hn_d, 3),
@@ -332,7 +330,7 @@ def _checks(model: str, a: PointAnalysis, tol: float) -> dict[str, float]:
     if model == "s1":
         # N = -d eta (x) xi on this model
         checks["n_plus_deta_xi"] = max_abs(
-            a.nijenhuis + np.einsum("...ij,k->...ijk", a.d_eta, STANDARD.eta), 3
+            a.nijenhuis + np.einsum("...ij,k->...ijk", a.d_eta, ETA), 3
         )
     else:
         checks["d_eta_zero"] = max_abs(a.d_eta, 2)
@@ -423,20 +421,20 @@ def render_json(obj, indent: int = 0) -> str:
 
 
 def _leaves(obj, sep: str, prefix: str = ""):
-    """Yield (dotted key, formatted value) pairs in report order.
+    """Yield (dotted key, leaf) pairs in report order, leaves unformatted.
 
-    A list of scalars is one value, joined by `sep`; an empty dict yields
-    the value None.
+    A list of scalars is one leaf, its formatted items joined by `sep`; an
+    empty dict is its own leaf, so a None leaf stays a TypeError outside JSON.
     """
     if isinstance(obj, dict):
         if not obj:
-            yield prefix, None
+            yield prefix, obj
         for k, v in obj.items():
             key = f"{prefix}.{k}" if prefix else str(k)
             if isinstance(v, (dict, list, tuple)):
                 yield from _leaves(v, sep, key)
             else:
-                yield key, format_scalar(v)
+                yield key, v
     elif isinstance(obj, (list, tuple)):
         if all(not isinstance(v, (dict, list, tuple)) for v in obj):
             yield prefix, "[" + sep.join(format_scalar(v) for v in obj) + "]"
@@ -444,12 +442,13 @@ def _leaves(obj, sep: str, prefix: str = ""):
             for n, v in enumerate(obj):
                 yield from _leaves(v, sep, f"{prefix}[{n}]")
     else:
-        yield prefix, format_scalar(obj)
+        yield prefix, obj
 
 
 def render_text(obj) -> str:
     """Flat key = value lines for human reading; an empty dict is a blank line."""
-    return "\n".join("" if v is None else f"{k} = {v}" for k, v in _leaves(obj, ", "))
+    return "\n".join("" if type(v) is dict else f"{k} = {format_scalar(v)}"
+                     for k, v in _leaves(obj, ", "))
 
 
 def _csv_field(v) -> str:
@@ -464,7 +463,7 @@ def _csv_field(v) -> str:
 
 def render_csv(report: dict) -> str:
     """One header line of dotted keys and one line of values."""
-    pairs = [(k, v) for k, v in _leaves(report, "; ") if v is not None]
+    pairs = [(k, v) for k, v in _leaves(report, "; ") if type(v) is not dict]
     header = ",".join(_csv_field(k) for k, _ in pairs)
     values = ",".join(_csv_field(v) for _, v in pairs)
     return header + "\n" + values

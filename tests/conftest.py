@@ -10,7 +10,6 @@ from paraframe import (
     koszul,
     orthonormal_frame,
     sample_points,
-    standard_structure,
 )
 from paraframe.hypersurface import ModelPoint
 from paraframe.reference import model_reference
@@ -20,6 +19,23 @@ SEED = 42
 N_POINTS = 100
 
 
+def curved(v):
+    """S^2 x R in Euclidean 4-space: a diagonal metric, [e0, e1] = tan(u0) e1."""
+    return [v[0].cos() * v[1].cos(), v[0].cos() * v[1].sin(), v[0].sin(), v[2]]
+
+
+def skew(v):
+    """A non-diagonal metric in Euclidean 4-space: the Gram-Schmidt rows mix
+    every coordinate direction, and the sign rule flips some rows at some
+    points but not at others."""
+    return [
+        v[0].sinh() * v[1].cos() + v[2] * v[0],
+        v[0] * v[1] * v[2],
+        v[1].sin() * v[2].cosh(),
+        v[0] * v[0] - v[2],
+    ]
+
+
 def pipeline(model: str, r: float, u) -> SimpleNamespace:
     """Run the frame pipeline at one point and hand back every stage."""
     p = ModelPoint(model=model, r=r, u=np.asarray(u, dtype=float))
@@ -27,9 +43,8 @@ def pipeline(model: str, r: float, u) -> SimpleNamespace:
     fc = orthonormal_frame(jet, p.spec.signature)
     sf = bracket_field(fc)
     conn = koszul(sf)
-    s = standard_structure()
-    f = fundamental_tensor(conn, s)
-    return SimpleNamespace(p=p, jet=jet, fc=fc, sf=sf, conn=conn, s=s, f=f)
+    f = fundamental_tensor(conn)
+    return SimpleNamespace(p=p, jet=jet, fc=fc, sf=sf, conn=conn, f=f)
 
 
 def _batch(model: str) -> list[dict]:

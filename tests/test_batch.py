@@ -29,7 +29,7 @@ from paraframe.report import (
     run_verify,
     sweep_rows,
 )
-from paraframe.structure import STANDARD
+from paraframe.structure import ETA
 from paraframe.tensors import max_abs
 
 RADII = (1e-3, 1.0, 2.0, 1e4)
@@ -148,7 +148,7 @@ def _point_checks(model: str, a, tol: float) -> dict[str, float]:
     )
     if model == "s1":
         checks["n_plus_deta_xi"] = max_abs(
-            a.nijenhuis + np.einsum("ij,k->ijk", a.d_eta, STANDARD.eta)
+            a.nijenhuis + np.einsum("ij,k->ijk", a.d_eta, ETA)
         )
     else:
         checks["d_eta_zero"] = max_abs(a.d_eta)

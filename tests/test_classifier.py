@@ -15,7 +15,6 @@ from paraframe.classifier import (
     lee_forms,
 )
 from paraframe.frame import StructureField, koszul
-from paraframe.structure import standard_structure
 from paraframe.tensors import max_abs
 
 LN2 = math.log(2.0)
@@ -44,14 +43,14 @@ def test_fundamental_tensor_s2():
 
 
 def test_fundamental_tensor_flat():
-    f = fundamental_tensor(flat_connection(), standard_structure())
+    f = fundamental_tensor(flat_connection())
     assert max_abs(f) == 0.0
 
 
 def test_f_symmetries_hold_on_models():
     for model, u in (("s1", [0.3, 0.8, 1.1]), ("s2", [-0.7, 2.0, 0.5])):
         ctx = pipeline(model, 1.3, u)
-        r1, r2 = f_symmetry_residuals(ctx.f, ctx.s)
+        r1, r2 = f_symmetry_residuals(ctx.f)
         assert r1 <= 1e-9
         assert r2 <= 1e-9
 
@@ -60,7 +59,7 @@ def test_f_symmetry_detects_perturbation():
     ctx = pipeline("s1", 1.0, [0.3, 0.8, 1.1])
     f = np.array(ctx.f)
     f[0, 1, 2] += 1.0
-    r1, _ = f_symmetry_residuals(f, ctx.s)
+    r1, _ = f_symmetry_residuals(f)
     assert r1 == pytest.approx(1.0, abs=1e-9)
 
 
@@ -165,14 +164,14 @@ def test_classify_scale_robust():
 def test_nabla_eta_relation_models():
     for model, u in (("s1", [0.3, 0.8, 1.1]), ("s2", [-1.2, 2.0, 0.5])):
         ctx = pipeline(model, 1.0, u)
-        assert check_nabla_eta_relation(ctx.conn, ctx.f, ctx.s) <= 1e-9
+        assert check_nabla_eta_relation(ctx.conn, ctx.f) <= 1e-9
 
 
 def test_nabla_eta_relation_detects_perturbation():
     ctx = pipeline("s1", 1.0, [0.3, 0.8, 1.1])
     f = np.array(ctx.f)
     f[0, 1, 0] += 0.5
-    assert check_nabla_eta_relation(ctx.conn, f, ctx.s) == pytest.approx(0.5, abs=1e-9)
+    assert check_nabla_eta_relation(ctx.conn, f) == pytest.approx(0.5, abs=1e-9)
 
 
 def test_decomposition_residual_on_models(batches):

@@ -3,14 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from conftest import pipeline
+from conftest import curved, pipeline, skew
 from paraframe.hypersurface import (
     EUCLIDEAN,
     bracket_field,
+    evaluate_immersion,
     immerse,
     orthonormal_frame,
     sample_points,
 )
+from paraframe.jets import partials
 from paraframe.frame import (
     ConnectionCoeffs,
     StructureField,
@@ -99,6 +101,43 @@ def test_curvature_torsion_mismatch_raises():
     bad = StructureField(c=other, dc=np.array(ctx.sf.dc))
     with pytest.raises(ValueError, match="torsion"):
         curvature(ctx.conn, bad)
+
+
+def _gauss_curvature(jet, sig, a) -> np.ndarray:
+    """-eps (h_ik h_jl - h_il h_jk) on the frame rows a: the Gauss equation,
+    with h the second fundamental form of the unit normal n, <n, n> = eps."""
+    w = sig.weights
+    # signed 3x3 minors of the tangent rows: m . d_i z = 0, so w m is <,>-normal
+    n = w * np.stack(
+        [(-1) ** b * np.linalg.det(np.delete(jet.d1, b, axis=-1)) for b in range(4)], axis=-1
+    )
+    nn = np.einsum("...b,b,...b->...", n, w, n)
+    n = n / np.sqrt(np.abs(nn))[..., None]
+    d2 = np.moveaxis(partials(jet.coords, 2), (0, 1), (-3, -2))
+    h = a @ np.einsum("...ijb,b,...b->...ij", d2, w, n) @ np.swapaxes(a, -1, -2)
+    hh = np.einsum("...ik,...jl->...ijkl", h, h)
+    return -np.sign(nn)[..., None, None, None, None] * (hh - np.swapaxes(hh, -1, -2))
+
+
+def _gauss_cases():
+    for model in ("s1", "s2"):
+        for r in (1e-3, 1.0, 1e4):
+            points = sample_points(model, 40, 7, r=r)
+            yield pytest.param(immerse(points), points[0].spec.signature, id=f"{model}-r{r:g}")
+    u = np.random.default_rng(5).uniform(-1.0, 1.0, size=(40, 3))
+    for coords in (curved, skew):
+        yield pytest.param(evaluate_immersion(coords, u), EUCLIDEAN, id=coords.__name__)
+
+
+@pytest.mark.parametrize("jet, sig", _gauss_cases())
+def test_curvature_is_the_gauss_equation(jet, sig):
+    # an oracle from the ambient second derivatives alone: no frame brackets
+    fc = orthonormal_frame(jet, sig)
+    sf = bracket_field(fc)
+    r4 = curvature(koszul(sf), sf)
+    scale = max_abs(r4)
+    assert scale > 0.0
+    assert max_abs(r4 - _gauss_curvature(jet, sig, fc.a)) <= 1e-10 * scale
 
 
 def test_sectional_values():

@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import curved, skew
 from paraframe.cli import main
 from paraframe.hypersurface import (
     EUCLIDEAN,
@@ -164,6 +165,13 @@ def test_renderers_reject_numpy_scalars(render):
         render({"model": "s1", "r": np.float64(2.0)})
 
 
+@pytest.mark.parametrize("render", [render_text, render_csv])
+def test_text_and_csv_reject_none(render):
+    # None is JSON's null only; the empty dict, not None, is the blank leaf
+    with pytest.raises(TypeError, match="NoneType"):
+        render({"model": "s1", "r": None})
+
+
 @pytest.mark.parametrize("build", [classify_report, curvature_report])
 def test_point_reports_take_a_numpy_radius(build):
     u = np.array([0.6, 1.0, 0.5])
@@ -195,21 +203,6 @@ def test_entries_is_the_index_loop(shape):
     ]
 
 
-def _curved(v):
-    # diagonal metric: [e0, e1] = tan(u0) e1
-    return [v[0].cos() * v[1].cos(), v[0].cos() * v[1].sin(), v[0].sin(), v[2]]
-
-
-def _skew(v):
-    # non-diagonal metric, so Gram-Schmidt mixes every coordinate direction
-    return [
-        v[0].sinh() * v[1].cos() + v[2] * v[0],
-        v[0] * v[1] * v[2],
-        v[1].sin() * v[2].cosh(),
-        v[0] * v[0] - v[2],
-    ]
-
-
 CUSTOM_POINTS = ([0.35, 1.2, -0.7], [-0.9, 0.4, 2.0], [1.1, -2.3, 0.1])
 
 
@@ -220,7 +213,7 @@ def _pipeline_inputs():
             for p in sample_points(model, 2, seed=7, r=r):
                 label = f"{model} r={r:.17g} u={','.join(f'{x:.17g}' for x in p.u)}"
                 yield label, MODELS[model].signature, immerse(p)
-    for name, coords in (("curved", _curved), ("skew", _skew)):
+    for name, coords in (("curved", curved), ("skew", skew)):
         for u in CUSTOM_POINTS:
             label = f"{name} u={','.join(f'{x:.17g}' for x in u)}"
             yield label, EUCLIDEAN, evaluate_immersion(coords, np.array(u))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import sympy
 
+from conftest import curved, skew
 from paraframe.classifier import fundamental_tensor
 from paraframe.frame import StructureField, curvature, jacobi_residual, koszul
 from paraframe.hypersurface import (
@@ -28,7 +29,7 @@ from paraframe.jets import TJet, _cut, partials
 from paraframe.nijenhuis import assoc_nijenhuis_from_F, nijenhuis_from_F
 from paraframe.reference import model_reference
 from paraframe.report import analyze_point
-from paraframe.structure import standard_structure
+from paraframe.structure import PHI
 from paraframe.tensors import contract_metric, max_abs
 
 LN2 = math.log(2.0)
@@ -232,12 +233,8 @@ def test_custom_flat_immersion():
 
 
 def test_custom_curved_immersion():
-    # z = (cos u0 cos u1, cos u0 sin u1, sin u0, u2): [e0, e1] = tan(u0) e1
-    def coords(v):
-        return [v[0].cos() * v[1].cos(), v[0].cos() * v[1].sin(), v[0].sin(), v[2]]
-
     u = np.array([0.35, 1.2, -0.7])
-    jet = evaluate_immersion(coords, u)
+    jet = evaluate_immersion(curved, u)
     fc = orthonormal_frame(jet, EUCLIDEAN)
     assert fc.gram_defect() <= 1e-12
     sf = bracket_field(fc)
@@ -360,17 +357,6 @@ def _batch_points() -> list[ModelPoint]:
     return points
 
 
-def _skew(v):
-    # non-diagonal metric: the Gram-Schmidt rows mix coordinates, and the
-    # sign rule flips some rows at some points but not at others
-    return [
-        v[0].sinh() * v[1].cos() + v[2] * v[0],
-        v[0] * v[1] * v[2],
-        v[1].sin() * v[2].cosh(),
-        v[0] * v[0] - v[2],
-    ]
-
-
 def _assert_rows_equal_single(stages, singles):
     for n, one in enumerate(singles):
         for name, single in one.items():
@@ -384,14 +370,13 @@ def _stages(jet, sig) -> dict[str, np.ndarray]:
     fc = orthonormal_frame(jet, sig)
     sf = bracket_field(fc)
     conn = koszul(sf)
-    s = standard_structure()
-    f = fundamental_tensor(conn, s)
+    f = fundamental_tensor(conn)
     r4 = curvature(conn, sf)
     out = dict(value=jet.value, d1=jet.d1, coords=jet.coords.c)
     out.update(a=fc.a, metric=fc.metric, c=sf.c, dc=sf.dc)
     out.update(gamma=conn.gamma, dgamma=conn.dgamma, f=f, r=r4)
-    out.update(n=nijenhuis_from_F(f, s), hn=assoc_nijenhuis_from_F(f, s))
-    out.update(rho=contract_metric(r4), rho_star=contract_metric(r4, s.phi))
+    out.update(n=nijenhuis_from_F(f), hn=assoc_nijenhuis_from_F(f))
+    out.update(rho=contract_metric(r4), rho_star=contract_metric(r4, PHI))
     return out
 
 
@@ -406,8 +391,8 @@ def test_batch_rows_bitwise_equal_single_points(size):
             _assert_rows_equal_single(_stages(immerse(chunk), sig), singles)
 
     u = np.random.default_rng(3).uniform(-2.0, 2.0, size=(size, 3))
-    singles = [_stages(evaluate_immersion(_skew, row), EUCLIDEAN) for row in u]
-    _assert_rows_equal_single(_stages(evaluate_immersion(_skew, u), EUCLIDEAN), singles)
+    singles = [_stages(evaluate_immersion(skew, row), EUCLIDEAN) for row in u]
+    _assert_rows_equal_single(_stages(evaluate_immersion(skew, u), EUCLIDEAN), singles)
     # Gram-Schmidt leaves the diagonal positive; a negative one is a flipped row
     flipped = [bool(one["a"][1, 1] < 0.0) for one in singles]
     assert size < 8 or (any(flipped) and not all(flipped))
@@ -431,7 +416,6 @@ def test_array_dataclasses_compare_by_identity():
         (fc, orthonormal_frame(jet, EUCLIDEAN)),
         (sf, bracket_field(fc)),
         (koszul(sf), koszul(sf)),
-        (standard_structure(), standard_structure()),
         (a.lee, b.lee),
         (a.decomposition, b.decomposition),
         (model_reference(p), model_reference(p)),

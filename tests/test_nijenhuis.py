@@ -5,7 +5,7 @@ import numpy as np
 from conftest import pipeline
 from paraframe.frame import StructureField, d_eta, koszul, nabla_xi_xi
 from paraframe.nijenhuis import assoc_nijenhuis_from_F, nijenhuis_direct, nijenhuis_from_F
-from paraframe.structure import STANDARD, standard_structure
+from paraframe.structure import ETA
 from paraframe.tensors import max_abs
 
 LN2 = math.log(2.0)
@@ -20,14 +20,14 @@ def build_expected(entries: dict) -> np.ndarray:
 
 def test_nijenhuis_s1_quarter_turn():
     ctx = pipeline("s1", 1.0, [0.3, math.pi / 4, 1.1])
-    n = nijenhuis_from_F(ctx.f, ctx.s)
+    n = nijenhuis_from_F(ctx.f)
     expected = build_expected({(0, 1, 0): 1.0, (1, 0, 0): -1.0})
     assert np.allclose(n, expected, atol=1e-12)
 
 
 def test_assoc_nijenhuis_s1_quarter_turn():
     ctx = pipeline("s1", 1.0, [0.3, math.pi / 4, 1.1])
-    hn = assoc_nijenhuis_from_F(ctx.f, ctx.s)
+    hn = assoc_nijenhuis_from_F(ctx.f)
     expected = build_expected(
         {
             (2, 2, 1): 4.0,
@@ -44,7 +44,7 @@ def test_assoc_nijenhuis_s1_quarter_turn():
 
 def test_nijenhuis_s2_log_two():
     ctx = pipeline("s2", 1.0, [LN2, 0.4, 0.9])
-    n = nijenhuis_from_F(ctx.f, ctx.s)
+    n = nijenhuis_from_F(ctx.f)
     w = 16.0 / 15.0  # 2 / sinh(2 ln 2)
     expected = build_expected(
         {(1, 0, 1): w, (0, 1, 1): -w, (0, 2, 2): w, (2, 0, 2): -w}
@@ -54,7 +54,7 @@ def test_nijenhuis_s2_log_two():
 
 def test_assoc_nijenhuis_s2_log_two():
     ctx = pipeline("s2", 1.0, [LN2, 0.4, 0.9])
-    hn = assoc_nijenhuis_from_F(ctx.f, ctx.s)
+    hn = assoc_nijenhuis_from_F(ctx.f)
     w = 16.0 / 15.0
     expected = build_expected(
         {
@@ -70,15 +70,14 @@ def test_assoc_nijenhuis_s2_log_two():
 
 
 def test_zero_f_gives_zero():
-    s = standard_structure()
     zero = np.zeros((3, 3, 3))
-    assert max_abs(nijenhuis_from_F(zero, s)) == 0.0
-    assert max_abs(assoc_nijenhuis_from_F(zero, s)) == 0.0
+    assert max_abs(nijenhuis_from_F(zero)) == 0.0
+    assert max_abs(assoc_nijenhuis_from_F(zero)) == 0.0
 
 
 def test_direct_route_flat_frame():
     zero = StructureField(c=np.zeros((3, 3, 3)), dc=np.zeros((3, 3, 3, 3)))
-    n, hn = nijenhuis_direct(koszul(zero), zero, standard_structure())
+    n, hn = nijenhuis_direct(koszul(zero), zero)
     assert max_abs(n) == 0.0
     assert max_abs(hn) == 0.0
 
@@ -104,7 +103,7 @@ def test_s1_n_equals_minus_deta_xi(s1_batch):
     for item in s1_batch:
         a = item["a"]
         de = d_eta(a.connection)
-        rebuilt = -np.einsum("ij,k->ijk", de, STANDARD.eta)
+        rebuilt = -np.einsum("ij,k->ijk", de, ETA)
         assert max_abs(a.nijenhuis - rebuilt) <= 1e-9
 
 

@@ -1,67 +1,58 @@
 import numpy as np
+import pytest
 
-from paraframe.structure import AprStructure, standard_structure, verify_axioms
+from paraframe.structure import ETA, PHI, XI, verify_axioms
 
 E = np.eye(3)
 
 
-def test_standard_structure_components():
-    s = standard_structure()
-    assert np.array_equal(s.phi[:, 1], E[2])  # phi e1 = e2
-    assert np.array_equal(s.phi[:, 2], E[1])  # phi e2 = e1
-    assert np.array_equal(s.phi[:, 0], np.zeros(3))
-    assert s.eta[0] == 1.0 and s.eta[1] == 0.0 and s.eta[2] == 0.0
-    assert np.trace(s.phi) == 0.0
-    assert np.array_equal(s.metric, E)
+def test_structure_constants_components():
+    assert np.array_equal(PHI[:, 1], E[2])  # phi e1 = e2
+    assert np.array_equal(PHI[:, 2], E[1])  # phi e2 = e1
+    assert np.array_equal(PHI[:, 0], np.zeros(3))
+    assert np.array_equal(XI, E[0]) and np.array_equal(ETA, E[0])
+    assert np.trace(PHI) == 0.0
+    for t in (PHI, XI, ETA):
+        with pytest.raises(ValueError, match="read-only"):
+            t[0] = 2.0
 
 
 def test_axioms_pass_exactly():
-    rep = verify_axioms(standard_structure())
+    rep = verify_axioms(E)
     assert all(v <= 1e-12 for v in rep.values())
     assert max(rep.values()) == 0.0
     assert [k for k, v in rep.items() if v > 1e-12] == []
 
 
-def test_axioms_catch_bad_eta():
-    s = standard_structure()
-    bad = AprStructure(phi=s.phi, xi=s.xi, eta=np.array([0.0, 1.0, 0.0]), metric=s.metric)
-    rep = verify_axioms(bad)
-    assert rep["eta_xi"] > 1e-12
-
-
-def test_axioms_catch_bad_trace():
-    s = standard_structure()
-    phi = np.array(s.phi)
-    phi[:, 1] = E[1]  # phi e1 = e1 breaks tr phi = 0
-    rep = verify_axioms(AprStructure(phi=phi, xi=s.xi, eta=s.eta, metric=s.metric))
-    assert rep["trace_phi"] > 1e-12
+def test_axioms_catch_a_metric_phi_does_not_preserve():
+    g = np.diag([1.0, 2.0, 1.0])  # |e1| != |phi e1|
+    rep = verify_axioms(g)
+    assert rep["metric_compat"] == 1.0
+    assert max(v for k, v in rep.items() if k != "metric_compat") == 0.0
 
 
 def test_phi_apply():
-    s = standard_structure()
-    assert np.array_equal(s.phi @ E[2], E[1])
-    assert np.array_equal(s.phi @ s.xi, np.zeros(3))
-    assert np.array_equal(s.phi @ (E[1] + E[2]), E[1] + E[2])
+    assert np.array_equal(PHI @ E[2], E[1])
+    assert np.array_equal(PHI @ XI, np.zeros(3))
+    assert np.array_equal(PHI @ (E[1] + E[2]), E[1] + E[2])
 
 
 def test_phi_squared_on_basis():
-    s = standard_structure()
     for i in range(3):
         x = E[i]
-        lhs = s.phi @ (s.phi @ x)
-        rhs = x - float(s.eta @ x) * s.xi
+        lhs = PHI @ (PHI @ x)
+        rhs = x - float(ETA @ x) * XI
         assert np.array_equal(lhs, rhs)
 
 
 def test_metric_compatibility_randomized():
-    s = standard_structure()
     rng = np.random.default_rng(123)
     worst = 0.0
     for _ in range(1000):
         x = rng.normal(size=3)
         y = rng.normal(size=3)
-        px, py = s.phi @ x, s.phi @ y
-        lhs = px @ s.metric @ py
-        rhs = x @ s.metric @ y - (s.eta @ x) * (s.eta @ y)
+        px, py = PHI @ x, PHI @ y
+        lhs = px @ py
+        rhs = x @ y - (ETA @ x) * (ETA @ y)
         worst = max(worst, abs(lhs - rhs))
     assert worst <= 1e-12
