@@ -7,7 +7,9 @@ classes F1, F4, F5, F8, F9, F10, F11 (and direct sums) can occur, and each
 admissible class contributes one explicit component tensor parametrized by
 the Lee forms.  The decomposition residual flags any F that does not come
 from a valid structure.  Every function works in the adapted frame of
-`structure` (xi = e0, phi swapping e1 and e2) and reads its constants.
+`structure` (xi = e0, phi swapping e1 and e2) and reads its constants; each
+contraction by phi, xi or eta only copies entries, so it is a gather
+(`tensors.gather`), bitwise the einsum it stands for.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 
 from .frame import ConnectionCoeffs
 from .structure import ETA, PHI, XI
-from .tensors import DIM, as_tensor, max_abs
+from .tensors import DIM, as_tensor, gather, gather_table, max_abs
 
 #: Classes that can be nonzero in dimension 3; F2, F3, F6, F7 vanish identically.
 ADMISSIBLE_CLASSES = (1, 4, 5, 8, 9, 10, 11)
@@ -69,14 +71,25 @@ class ClassLabel:
         return " + ".join(f"F{s}" for s in self.classes)
 
 
+#: The contractions of Gamma in F, and of F in the symmetry and nabla-eta
+#: identities, by the constants phi, xi and eta: gathers (see `gather_table`).
+_F_TERMS = gather_table(("mj,...imk->...ijk", PHI, None), ("km,...ijm->...ijk", PHI, None))
+_REBUILT_TERMS = gather_table(
+    ("aj,bk,...iab->...ijk", PHI, PHI, None),
+    ("j,...imk,m->...ijk", ETA, None, XI),
+    ("k,...ijm,m->...ijk", ETA, None, XI),
+)
+_NABLA_ETA_TERMS = gather_table(("mj,...imk,k->...ij", PHI, None, XI))
+
+
 def fundamental_tensor(conn: ConnectionCoeffs) -> np.ndarray:
     """F[i, j, k] = g((nabla_{e_i} phi) e_j, e_k) in the adapted frame.
 
     phi has constant frame components, so the covariant derivative reduces
     to two Gamma contractions.
     """
-    g = conn.gamma
-    return np.einsum("mj,...imk->...ijk", PHI, g) - np.einsum("km,...ijm->...ijk", PHI, g)
+    phi_gamma, gamma_phi = gather(conn.gamma, _F_TERMS, 3)
+    return phi_gamma - gamma_phi
 
 
 def f_symmetry_residuals(f: np.ndarray):
@@ -87,11 +100,8 @@ def f_symmetry_residuals(f: np.ndarray):
     """
     f = as_tensor(f, 3, batched=True)
     first = max_abs(f - np.swapaxes(f, -2, -1), 3)
-    rebuilt = (
-        -np.einsum("aj,bk,...iab->...ijk", PHI, PHI, f)
-        + np.einsum("j,...imk,m->...ijk", ETA, f, XI)
-        + np.einsum("k,...ijm,m->...ijk", ETA, f, XI)
-    )
+    phi_phi, eta_xi_y, eta_xi_z = gather(f, _REBUILT_TERMS, 3)
+    rebuilt = -phi_phi + eta_xi_y + eta_xi_z
     return first, max_abs(f - rebuilt, 3)
 
 
@@ -203,5 +213,6 @@ def check_nabla_eta_relation(conn: ConnectionCoeffs, f: np.ndarray):
     per point."""
     f = as_tensor(f, 3, batched=True)
     lhs = conn.gamma[..., :, 0, :]
-    rhs = -np.einsum("mj,...imk,k->...ij", PHI, f, XI)
+    (phi_xi,) = gather(f, _NABLA_ETA_TERMS, 3)
+    rhs = -phi_xi
     return max_abs(lhs - rhs, 2)

@@ -197,6 +197,9 @@ def make_config(args: argparse.Namespace) -> RunConfig:
         cfg.samples = samples
     seed = pick(args.seed, "seed", int)
     if seed is not None:
+        if seed < 0:
+            where = "--seed" if args.seed is not None else "config key seed"
+            raise UsageError(f"{where} must be >= 0, got {seed}")
         cfg.seed = seed
     tol = pick(args.tol, "tol", float)
     if tol is not None:

@@ -4,8 +4,9 @@ Two independent routes are provided.  The authoritative one expresses both
 tensors through F, which pins the sign convention; the direct route builds
 them from frame brackets and symmetrized covariant derivatives and exists
 as a cross-check oracle.  Both read phi, xi and eta from the constants of
-`structure`.  Every function keeps the leading (batch) axes of its tensor
-arguments.
+`structure` and contract them by gather (`tensors.gather`): each such
+contraction only copies entries, and the gather is bitwise its einsum.
+Every function keeps the leading (batch) axes of its tensor arguments.
 """
 
 from __future__ import annotations
@@ -14,29 +15,52 @@ import numpy as np
 
 from .frame import ConnectionCoeffs, StructureField, d_eta, lie_xi_g
 from .structure import ETA, PHI, XI
-from .tensors import as_tensor
+from .tensors import as_tensor, gather, gather_table
+
+#: The contractions of F (rank-3 terms, then the two rank-2 corrections) and
+#: of a bracket-type tensor b by the constants phi, xi and eta, as gathers (see
+#: `gather_table`); `_ETA_K` and `_K_ETA` put a rank-2 tensor in the slots (i, j, 0).
+_F_TERMS = gather_table(
+    ("mi,...mjk->...ijk", PHI, None),
+    ("mj,...mik->...ijk", PHI, None),
+    ("mk,...ijm->...ijk", PHI, None),
+    ("mk,...jim->...ijk", PHI, None),
+)
+_F_CORRECTIONS = gather_table(
+    ("mj,...ims,s->...ij", PHI, None, XI), ("mi,...jms,s->...ij", PHI, None, XI)
+)
+_ETA_K = gather_table(("k,...ij->...ijk", ETA, None))
+_B_TERMS = gather_table(
+    ("ai,bj,...abk->...ijk", PHI, PHI, None),
+    ("...ijm,km->...ijk", None, PHI @ PHI),
+    ("ai,...ajm,km->...ijk", PHI, None, PHI),
+    ("bj,...ibm,km->...ijk", PHI, None, PHI),
+)
+_K_ETA = gather_table(("...ij,k->...ijk", None, ETA))
 
 
 def nijenhuis_from_F(f: np.ndarray) -> np.ndarray:
     """N(x,y,z) = F(phi x,y,z) - F(phi y,x,z) - F(x,y,phi z) + F(y,x,phi z)
     + eta(z) { F(x,phi y,xi) - F(y,phi x,xi) }."""
     f = as_tensor(f, 3, batched=True)
-    p, eta, xi = PHI, ETA, XI
-    n = np.einsum("mi,...mjk->...ijk", p, f) - np.einsum("mj,...mik->...ijk", p, f)
-    n -= np.einsum("mk,...ijm->...ijk", p, f) - np.einsum("mk,...jim->...ijk", p, f)
-    corr = np.einsum("mj,...ims,s->...ij", p, f, xi) - np.einsum("mi,...jms,s->...ij", p, f, xi)
-    n += np.einsum("k,...ij->...ijk", eta, corr)
+    t1, t2, t3, t4 = gather(f, _F_TERMS, 3)
+    c1, c2 = gather(f, _F_CORRECTIONS, 3)
+    n = t1 - t2
+    n -= t3 - t4
+    (eta_corr,) = gather(c1 - c2, _ETA_K, 2)
+    n += eta_corr
     return n
 
 
 def assoc_nijenhuis_from_F(f: np.ndarray) -> np.ndarray:
     """Symmetric companion: same expansion with all cross terms added."""
     f = as_tensor(f, 3, batched=True)
-    p, eta, xi = PHI, ETA, XI
-    n = np.einsum("mi,...mjk->...ijk", p, f) + np.einsum("mj,...mik->...ijk", p, f)
-    n -= np.einsum("mk,...ijm->...ijk", p, f) + np.einsum("mk,...jim->...ijk", p, f)
-    corr = np.einsum("mj,...ims,s->...ij", p, f, xi) + np.einsum("mi,...jms,s->...ij", p, f, xi)
-    n += np.einsum("k,...ij->...ijk", eta, corr)
+    t1, t2, t3, t4 = gather(f, _F_TERMS, 3)
+    c1, c2 = gather(f, _F_CORRECTIONS, 3)
+    n = t1 + t2
+    n -= t3 + t4
+    (eta_corr,) = gather(c1 + c2, _ETA_K, 2)
+    n += eta_corr
     return n
 
 
@@ -49,15 +73,14 @@ def nijenhuis_direct(conn: ConnectionCoeffs, sf: StructureField) -> tuple[np.nda
     Frame vectors have constant phi components, so every bracketed term is
     a contraction of c (antisymmetric part) or gamma (symmetrized part).
     """
-    p, eta = PHI, ETA
-    psq = p @ p
 
     def torsion_like(b: np.ndarray, correction: np.ndarray) -> np.ndarray:
-        out = np.einsum("ai,bj,...abk->...ijk", p, p, b)
-        out += np.einsum("...ijm,km->...ijk", b, psq)
-        out -= np.einsum("ai,...ajm,km->...ijk", p, b, p)
-        out -= np.einsum("bj,...ibm,km->...ijk", p, b, p)
-        out -= np.einsum("...ij,k->...ijk", correction, eta)
+        phi_phi, psq, phi_i, phi_j = gather(b, _B_TERMS, 3)
+        out = phi_phi + psq
+        out -= phi_i
+        out -= phi_j
+        (correction_xi,) = gather(correction, _K_ETA, 2)
+        out -= correction_xi
         return out
 
     sym = conn.gamma + np.swapaxes(conn.gamma, -3, -2)

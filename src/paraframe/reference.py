@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
+from typing import Mapping
 
 import numpy as np
 
@@ -39,9 +41,16 @@ class ModelReference:
     tau_star: float
     sectional: float
     classes: tuple[int, ...]
-    lee_params: dict[str, float]
+    lee_params: Mapping[str, float]
     d_eta: np.ndarray
     nabla_xi_xi: np.ndarray
+
+    def __post_init__(self):
+        # read-only, as the points of a chunk with one reference_key share it
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+        object.__setattr__(self, "lee_params", MappingProxyType(self.lee_params))
 
 
 #: d_ik d_jl - d_il d_jk, the curvature tensor of unit constant curvature
@@ -56,8 +65,7 @@ def _constant_curvature(sign: float, r: float) -> np.ndarray:
     return (sign / r**2) * _DD
 
 
-def _s1_reference(r: float, u: np.ndarray) -> ModelReference:
-    u1 = u[1]
+def _s1_reference(r: float, u1: float) -> ModelReference:
     cot = math.cos(u1) / math.sin(u1)
     tan = math.tan(u1)
     a, b = cot / r, tan / r
@@ -138,8 +146,7 @@ def _s1_reference(r: float, u: np.ndarray) -> ModelReference:
     )
 
 
-def _s2_reference(r: float, u: np.ndarray) -> ModelReference:
-    u1 = u[0]
+def _s2_reference(r: float, u1: float) -> ModelReference:
     coth = math.cosh(u1) / math.sinh(u1)
     tanh = math.tanh(u1)
     c, t = coth / r, tanh / r
@@ -215,10 +222,20 @@ def _s2_reference(r: float, u: np.ndarray) -> ModelReference:
     )
 
 
+#: Each model's closed form and the one coordinate of u it reads: u1 is u[1]
+#: on s1 and u[0] on s2.
+_CLOSED_FORMS = {"s1": (_s1_reference, 1), "s2": (_s2_reference, 0)}
+
+
+def reference_key(p: ModelPoint) -> tuple[str, float, float]:
+    """Everything `model_reference` reads of p: the model, r and u1.  Points
+    with equal keys have references equal bit for bit."""
+    if p.model not in _CLOSED_FORMS:
+        raise ValueError(f"no reference values for model {p.model!r}")
+    return p.model, p.r, float(p.u[_CLOSED_FORMS[p.model][1]])
+
+
 def model_reference(p: ModelPoint) -> ModelReference:
-    """Closed-form targets for a built-in model at p."""
-    if p.model == "s1":
-        return _s1_reference(p.r, p.u)
-    if p.model == "s2":
-        return _s2_reference(p.r, p.u)
-    raise ValueError(f"no reference values for model {p.model!r}")
+    """Closed-form targets for a built-in model at p; its arrays are read-only."""
+    model, r, u1 = reference_key(p)
+    return _CLOSED_FORMS[model][0](r, u1)

@@ -18,7 +18,7 @@ import numpy as np
 from . import classifier, frame, nijenhuis, tensors
 from .hypersurface import ModelPoint, bracket_field, immerse, orthonormal_frame
 from .hypersurface import sample_points, sphere_residual
-from .reference import ModelReference, model_reference
+from .reference import ModelReference, model_reference, reference_key
 from .structure import ETA, PHI, metric_compat
 from .tensors import DIM, max_abs
 
@@ -64,9 +64,10 @@ class PointAnalysis:
 
 
 #: Points per call of the pipeline.  On a 2-core VM (Python 3.11, numpy 2.4)
-#: a `_batches` call costs about 1.9 ms plus 0.12 ms per point, on s1 and s2
-#: alike, so the fixed part is two thirds at 8 points, a third at 32 and a
-#: fifth at 64, where the 54 in-domain rows of a sweep-grid benchmark call
+#: a `_batches` call costs about 2.1 ms plus 0.12 ms per point, on s1 and s2
+#: alike (best of 30 rounds at 1-64 points of distinct u1, each with its own
+#: reference), so the fixed part is two thirds at 8 points, a third at 32 and
+#: a fifth at 64, where the 54 in-domain rows of a sweep-grid benchmark call
 #: are one chunk.  The stages' arrays grow with the chunk, but jet products
 #: over more than 256 cells run in blocks, so 64 points peak at 0.94 MB
 #: (tracemalloc; 1.49 MB unblocked), and the sweep-grid benchmark's peak RSS
@@ -91,8 +92,9 @@ def analyze_points(points: Sequence[ModelPoint], tol: float) -> list[PointAnalys
 
     The whole pipeline, from the jet stages (immerse, orthonormal_frame,
     bracket_field) to the residuals, runs once per chunk of points (see
-    `_chunked`), each point a row of the batched arrays; only the closed-form
-    reference, the sphere residual and kappa are evaluated point by point.
+    `_chunked`), each point a row of the batched arrays; only the sphere
+    residual and kappa are evaluated point by point, and the closed-form
+    reference once per distinct `reference_key` of a chunk.
     Every result is bitwise the result for that point alone.  If a chunk
     raises, it is run again one point at a time, so the error raised is the
     first failing point's own.
@@ -124,7 +126,10 @@ def _batches(chunk: list[ModelPoint], tol: float) -> list[PointAnalysis]:
         jet = immerse(chunk)
         fc = orthonormal_frame(jet, chunk[0].spec.signature)
         sf = bracket_field(fc)
-        refs = [model_reference(p) for p in chunk]
+        # one closed form per distinct reference_key, shared by its points
+        keys = [reference_key(p) for p in chunk]
+        shared = {key: model_reference(p) for key, p in dict(zip(keys, chunk)).items()}
+        refs = [shared[key] for key in keys]
         # the one axiom that reads the metric, against the frame's true Gram matrix
         gram = fc.a @ fc.metric @ np.swapaxes(fc.a, -1, -2)
         residuals = {

@@ -8,7 +8,9 @@ metric contractions are plain traces.
 Leading axes before the frame slots index the points of a batch:
 `contract_metric`, `symmetry_defect`, `curvature_symmetry_residuals` and
 `max_abs` with a `rank` act on the last axes and give one result per
-point; `kulkarni_nomizu` and `trace2` take one tensor.
+point; `kulkarni_nomizu` and `trace2` take one tensor.  `gather` applies a
+contraction by constants that only copies entries (a `gather_table`) to the
+last axes.
 """
 
 from __future__ import annotations
@@ -42,6 +44,48 @@ def _frozen(a) -> np.ndarray:
     a = np.array(a, dtype=float)
     a.flags.writeable = False
     return a
+
+
+def gather_table(*terms) -> np.ndarray:
+    """The `gather` table of 0/1 contractions of one tensor t by constants.
+
+    Each term is (formula, *operands): an einsum with None in the place of
+    the batched tensor t.  Applied to each basis tensor of t, it shows which
+    entry of t each output entry copies; table[term] holds that entry's flat
+    index over t's frame slots, or DIM**rank, the zero slot `gather` appends,
+    where it copies none.  A contraction that sums or scales is a ValueError.
+    """
+    formula, *operands = terms[0]
+    slot = [op is None for op in operands].index(True)
+    rank = len(formula.split("->")[0].split(",")[slot].replace("...", ""))
+    n = DIM**rank
+    basis = np.asfortranarray(np.eye(n).reshape((n,) + (DIM,) * rank))
+    out = np.stack(
+        [np.einsum(f, *(basis if op is None else op for op in ops)) for f, *ops in terms], axis=1
+    )
+    coeffs = out.reshape(n, -1)  # [entry of t, output entry of each term]
+    entry, copy = np.nonzero(coeffs)
+    if not (coeffs[entry, copy] == 1.0).all() or len(set(copy.tolist())) < copy.size:
+        raise ValueError(f"{[f for f, *_ in terms]} is not a 0/1 selection")
+    table = np.full(coeffs.shape[1], n)
+    table[copy] = entry
+    return table.reshape(out.shape[1:])
+
+
+def gather(t: np.ndarray, table: np.ndarray, rank: int) -> list[np.ndarray]:
+    """The contractions of t a `gather_table` stands for, one array per term.
+
+    t has `rank` frame slots after any leading (batch) axes, which every
+    result keeps.  For finite t each result is bitwise its einsum: that
+    einsum adds its one selected entry and zeros to a +0.0 start, which gives
+    the entry (a -0.0 entry as +0.0) or +0.0, and so does reading `t + 0.0`.
+    """
+    lead = t.shape[: t.ndim - rank]
+    n = DIM**rank
+    padded = np.zeros(lead + (n + 1,))
+    np.add(t.reshape(lead + (n,)), 0.0, out=padded[..., :n])
+    out = padded[..., table]
+    return [out[(slice(None),) * len(lead) + (k,)] for k in range(len(table))]
 
 
 def max_abs(t, rank: int | None = None):

@@ -208,6 +208,18 @@ def test_usage_errors(capsys):
     assert run_cli(capsys, "classify", "--model", "s1", "--point", "0.3,0.7,1.1", "--r", "-1")[0] == 2
 
 
+def test_negative_seed_is_a_usage_error(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "verify", "--model", "s1", "--seed", "-3")
+    assert (code, out) == (2, "")
+    assert err.strip() == "error: --seed must be >= 0, got -3"
+
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("model = s1\nseed = -3\n")
+    code, out, err = run_cli(capsys, "verify", "--config", str(cfg))
+    assert (code, out) == (2, "")
+    assert err.strip() == "error: config key seed must be >= 0, got -3"
+
+
 def test_commands_reject_flags_they_do_not_read(capsys):
     for argv in (
         ["classify", "--model", "s1", "--point", "0.3,0.7,1.1", "--grid", "x"],

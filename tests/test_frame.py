@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import curved, pipeline, skew
 from paraframe.hypersurface import (
@@ -138,6 +140,53 @@ def test_curvature_is_the_gauss_equation(jet, sig):
     scale = max_abs(r4)
     assert scale > 0.0
     assert max_abs(r4 - _gauss_curvature(jet, sig, fc.a)) <= 1e-10 * scale
+
+
+coefficient = st.floats(-1.0, 1.0)
+#: a sin(w . u + c) or a cos(w . u + c), and a u_i u_j or a u_i u_j u_k
+trig_term = st.tuples(
+    st.sampled_from(("sin", "cos")), coefficient, st.tuples(*[st.floats(-2.0, 2.0)] * 3),
+    st.floats(-3.0, 3.0),
+)
+monomial = st.tuples(
+    st.just("mono"), coefficient, st.lists(st.integers(0, 2), min_size=2, max_size=3)
+)
+
+
+def _height(terms, v):
+    """The sum of the drawn terms at the jets v."""
+    total = 0.0
+    for kind, a, *rest in terms:
+        if kind == "mono":
+            term = a
+            for i in rest[0]:
+                term = term * v[i]
+        else:
+            w, c = rest
+            arg = w[0] * v[0] + w[1] * v[1] + w[2] * v[2] + c
+            term = a * (arg.sin() if kind == "sin" else arg.cos())
+        total = total + term
+    return total
+
+
+@given(
+    terms=st.lists(st.one_of(trig_term, monomial), min_size=1, max_size=5),
+    u=st.lists(st.tuples(*[st.floats(-1.0, 1.0)] * 3), min_size=1, max_size=8),
+)
+@settings(max_examples=60, deadline=None)
+def test_drawn_graphs_obey_the_gauss_equation(terms, u):
+    # z = (u0, u1, u2, f(u)) in Euclidean 4-space, f a drawn trig and
+    # polynomial sum: an immersion that is no model and, in general, curved
+    jet = evaluate_immersion(lambda v: [v[0], v[1], v[2], _height(terms, v)], np.array(u))
+    fc = orthonormal_frame(jet, EUCLIDEAN)
+    sf = bracket_field(fc)
+    r4 = curvature(koszul(sf), sf)
+    scale = max_abs(r4)
+    # R = e(Gamma) + Gamma Gamma, from dc and c c: where it is a near-total
+    # cancellation of those (a graph over one direction is flat), its
+    # rounding error is of their size, not of max|R|
+    assume(scale > 1e-4 * max(max_abs(sf.dc), max_abs(sf.c) ** 2))
+    assert max_abs(r4 - _gauss_curvature(jet, EUCLIDEAN, fc.a)) <= 1e-10 * scale
 
 
 def test_sectional_values():
