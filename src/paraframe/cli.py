@@ -163,7 +163,7 @@ def make_config(args: argparse.Namespace) -> RunConfig:
 
     def pick(flag, key, cast):
         if flag is not None:
-            return flag
+            return cast(flag)
         if key in file_values:
             raw = file_values[key]
             try:
@@ -171,6 +171,9 @@ def make_config(args: argparse.Namespace) -> RunConfig:
             except (ValueError, UsageError) as exc:
                 raise UsageError(f"bad config value for {key}: {exc}") from exc
         return None
+
+    def source(key):
+        return f"--{key}" if getattr(args, key) is not None else f"config key {key}"
 
     model = pick(args.model, "model", str)
     if model is None:
@@ -185,26 +188,21 @@ def make_config(args: argparse.Namespace) -> RunConfig:
     if not (math.isfinite(cfg.r) and cfg.r > 0):
         raise UsageError(f"radius must be positive and finite, got {cfg.r}")
     cfg.point = pick(args.point, "point", parse_point)
-    if isinstance(cfg.point, str):
-        cfg.point = parse_point(cfg.point)
     cfg.grid = pick(args.grid, "grid", parse_grid)
-    if isinstance(cfg.grid, str):
-        cfg.grid = parse_grid(cfg.grid)
     samples = pick(args.samples, "samples", int)
     if samples is not None:
         if samples < 1:
-            raise UsageError("--samples must be >= 1")
+            raise UsageError(f"{source('samples')} must be >= 1")
         cfg.samples = samples
     seed = pick(args.seed, "seed", int)
     if seed is not None:
         if seed < 0:
-            where = "--seed" if args.seed is not None else "config key seed"
-            raise UsageError(f"{where} must be >= 0, got {seed}")
+            raise UsageError(f"{source('seed')} must be >= 0, got {seed}")
         cfg.seed = seed
     tol = pick(args.tol, "tol", float)
     if tol is not None:
         if not (math.isfinite(tol) and tol > 0):
-            raise UsageError("--tol must be positive and finite")
+            raise UsageError(f"{source('tol')} must be positive and finite")
         cfg.tol = tol
     fmt = pick(args.format, "format", str)
     if fmt is not None:

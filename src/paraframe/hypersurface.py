@@ -1,6 +1,9 @@
 """Hyperspheres in 4-space and their orthonormal moving frames.
 
-Two built-in models:
+`MODELS` is the one record per model, and no other code names a model.  A
+`ModelSpec` holds the ambient signature, the sphere sign (so kappa), the
+coordinate jets, the domain check, the sampler, the closed form of
+`reference` with the coordinate of u it reads, and the model's identities:
 
   s1  the sphere <z, z> = r^2 in Euclidean 4-space, parameters (u0, u1, u2),
       all in [0, 2pi) with u1 away from multiples of pi/2;
@@ -12,9 +15,7 @@ the pipeline (frame coefficients, bracket coefficients and their frame
 derivatives) is exact to machine precision.  Each jet stage (immerse,
 orthonormal_frame, bracket_field) takes one point or a batch of points
 with a leading point axis, and a batch row is bitwise the result for that
-point alone.  The hand-differentiated
-closed forms of the bracket data live in `reference`, next to the other
-verification targets.
+point alone.
 """
 
 from __future__ import annotations
@@ -27,11 +28,16 @@ import numpy as np
 
 from .frame import StructureField
 from .jets import ORDER, TJet, _cut, partials
-from .tensors import DIM, max_abs
+from .reference import ModelReference, s1_identities, s1_reference, s2_identities, s2_reference
+from .tensors import DIM
 
 #: Points closer than this to an excluded parameter locus are rejected;
 #: the frame normalization blows up there.
 EXCLUSION = 1e-6
+
+#: Sampled points keep this distance from the excluded loci, so cot/tan
+#: (or coth) stay bounded and identity residuals comparable across points.
+SAMPLE_MARGIN = 0.1
 
 TWO_PI = 2.0 * math.pi
 
@@ -103,10 +109,6 @@ class FrameCoeffs:
     jets: TJet
     metric: np.ndarray
 
-    def gram_defect(self):
-        """max |a G a^T - I| over the frame, one value per point of a batch."""
-        return max_abs(self.a @ self.metric @ np.swapaxes(self.a, -1, -2) - np.eye(DIM), 2)
-
 
 # ---------------------------------------------------------------------------
 # models
@@ -146,13 +148,30 @@ def _validate_s2(u: np.ndarray) -> None:
         raise DomainError(f"s2 parameter u2 = {u[1]} outside [0, 2*pi)")
 
 
+def _sample_s1(rng: np.random.Generator) -> np.ndarray:
+    """All four u1 quadrants."""
+    quadrant = int(rng.integers(0, 4))
+    u1 = quadrant * math.pi / 2 + rng.uniform(SAMPLE_MARGIN, math.pi / 2 - SAMPLE_MARGIN)
+    return np.array([rng.uniform(0.0, TWO_PI), u1, rng.uniform(0.0, TWO_PI)])
+
+
+def _sample_s2(rng: np.random.Generator) -> np.ndarray:
+    """Both u1 branches."""
+    branch = 1.0 if rng.uniform() < 0.5 else -1.0
+    u1 = branch * rng.uniform(SAMPLE_MARGIN, 2.5)
+    return np.array([u1, rng.uniform(0.0, TWO_PI), rng.uniform(-2.5, 2.5)])
+
+
 @dataclass(frozen=True)
 class ModelSpec:
-    name: str
     signature: AmbientSignature
     sphere_sign: int  # <z, z> = sphere_sign * r^2
     coords: Callable[[float | np.ndarray, Sequence[TJet]], list[TJet]]  # r per point
     validate: Callable[[np.ndarray], None]
+    sample: Callable[[np.random.Generator], np.ndarray]  # SAMPLE_MARGIN inside the domain
+    closed_form: Callable[[float, float], ModelReference]  # of r and u[reference_coord]
+    reference_coord: int
+    identities: Callable  # batched PointAnalysis -> {check name: residual per point}
 
     def kappa(self, r: float) -> float:
         """Constant sectional curvature of the model."""
@@ -160,8 +179,10 @@ class ModelSpec:
 
 
 MODELS = {
-    "s1": ModelSpec("s1", EUCLIDEAN, 1, _s1_coords, _validate_s1),
-    "s2": ModelSpec("s2", LORENTZIAN, -1, _s2_coords, _validate_s2),
+    "s1": ModelSpec(EUCLIDEAN, 1, _s1_coords, _validate_s1, _sample_s1, s1_reference, 1,
+                    s1_identities),
+    "s2": ModelSpec(LORENTZIAN, -1, _s2_coords, _validate_s2, _sample_s2, s2_reference, 0,
+                    s2_identities),
 }
 
 
@@ -346,31 +367,9 @@ def structure_field(p: ModelPoint) -> StructureField:
     return bracket_field(fc)
 
 
-#: Sampled points keep this distance from the excluded loci, so cot/tan
-#: (or coth) stay bounded and identity residuals comparable across points.
-SAMPLE_MARGIN = 0.1
-
-
 def sample_points(model: str, n: int, seed: int, r: float = 1.0) -> list[ModelPoint]:
-    """Deterministic valid parameter points, spread over the full domain.
-
-    s1 samples all four u1 quadrants; s2 samples both u1 branches; both keep
-    SAMPLE_MARGIN from the exclusions.
-    """
+    """Deterministic valid parameter points, n draws of the model's sampler."""
+    if model not in MODELS:
+        raise ValueError(f"unknown model {model!r}")
     rng = np.random.default_rng(seed)
-    points = []
-    for _ in range(n):
-        if model == "s1":
-            quadrant = int(rng.integers(0, 4))
-            u1 = quadrant * math.pi / 2 + rng.uniform(SAMPLE_MARGIN, math.pi / 2 - SAMPLE_MARGIN)
-            u = np.array([rng.uniform(0.0, TWO_PI), u1, rng.uniform(0.0, TWO_PI)])
-        elif model == "s2":
-            branch = 1.0 if rng.uniform() < 0.5 else -1.0
-            u = np.array(
-                [branch * rng.uniform(SAMPLE_MARGIN, 2.5), rng.uniform(0.0, TWO_PI),
-                 rng.uniform(-2.5, 2.5)]
-            )
-        else:
-            raise ValueError(f"unknown model {model!r}")
-        points.append(ModelPoint(model=model, r=r, u=u))
-    return points
+    return [ModelPoint(model=model, r=r, u=MODELS[model].sample(rng)) for _ in range(n)]

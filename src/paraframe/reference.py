@@ -12,12 +12,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
-from .hypersurface import ModelPoint
-from .tensors import DIM
+from .structure import ETA
+from .tensors import DIM, max_abs
+
+if TYPE_CHECKING:  # hypersurface imports this module
+    from .hypersurface import ModelPoint
+    from .report import PointAnalysis
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,7 +69,7 @@ def _constant_curvature(sign: float, r: float) -> np.ndarray:
     return (sign / r**2) * _DD
 
 
-def _s1_reference(r: float, u1: float) -> ModelReference:
+def s1_reference(r: float, u1: float) -> ModelReference:
     cot = math.cos(u1) / math.sin(u1)
     tan = math.tan(u1)
     a, b = cot / r, tan / r
@@ -146,7 +150,7 @@ def _s1_reference(r: float, u1: float) -> ModelReference:
     )
 
 
-def _s2_reference(r: float, u1: float) -> ModelReference:
+def s2_reference(r: float, u1: float) -> ModelReference:
     coth = math.cosh(u1) / math.sinh(u1)
     tanh = math.tanh(u1)
     c, t = coth / r, tanh / r
@@ -222,20 +226,23 @@ def _s2_reference(r: float, u1: float) -> ModelReference:
     )
 
 
-#: Each model's closed form and the one coordinate of u it reads: u1 is u[1]
-#: on s1 and u[0] on s2.
-_CLOSED_FORMS = {"s1": (_s1_reference, 1), "s2": (_s2_reference, 0)}
+def s1_identities(a: PointAnalysis) -> dict[str, np.ndarray]:
+    """The s1 identity N = -d eta (x) xi, residual per point of batch a."""
+    return {"n_plus_deta_xi": max_abs(a.nijenhuis + np.einsum("...ij,k->...ijk", a.d_eta, ETA), 3)}
+
+
+def s2_identities(a: PointAnalysis) -> dict[str, np.ndarray]:
+    """The s2 identities d eta = 0 and nabla_xi xi = 0, per point of batch a."""
+    return {"d_eta_zero": max_abs(a.d_eta, 2), "nabla_xi_xi_zero": max_abs(a.nabla_xi_xi, 1)}
 
 
 def reference_key(p: ModelPoint) -> tuple[str, float, float]:
-    """Everything `model_reference` reads of p: the model, r and u1.  Points
-    with equal keys have references equal bit for bit."""
-    if p.model not in _CLOSED_FORMS:
-        raise ValueError(f"no reference values for model {p.model!r}")
-    return p.model, p.r, float(p.u[_CLOSED_FORMS[p.model][1]])
+    """What `model_reference` reads of p: model, r and the coordinate of u its
+    record names.  Points with equal keys have bitwise equal references."""
+    return p.model, p.r, float(p.u[p.spec.reference_coord])
 
 
 def model_reference(p: ModelPoint) -> ModelReference:
     """Closed-form targets for a built-in model at p; its arrays are read-only."""
-    model, r, u1 = reference_key(p)
-    return _CLOSED_FORMS[model][0](r, u1)
+    _, r, u1 = reference_key(p)
+    return p.spec.closed_form(r, u1)

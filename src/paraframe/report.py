@@ -16,10 +16,10 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from . import classifier, frame, nijenhuis, tensors
-from .hypersurface import ModelPoint, bracket_field, immerse, orthonormal_frame
+from .hypersurface import MODELS, ModelPoint, bracket_field, immerse, orthonormal_frame
 from .hypersurface import sample_points, sphere_residual
 from .reference import ModelReference, model_reference, reference_key
-from .structure import ETA, PHI, metric_compat
+from .structure import PHI, metric_compat
 from .tensors import DIM, max_abs
 
 #: Entries smaller than this are dropped from "nonzero component" listings.
@@ -332,14 +332,7 @@ def _checks(model: str, a: PointAnalysis, tol: float) -> dict[str, float]:
             "nabla_xi_xi_vs_closed_form": max_abs(a.nabla_xi_xi - ref["nabla_xi_xi"], 1),
         }
     )
-    if model == "s1":
-        # N = -d eta (x) xi on this model
-        checks["n_plus_deta_xi"] = max_abs(
-            a.nijenhuis + np.einsum("...ij,k->...ijk", a.d_eta, ETA), 3
-        )
-    else:
-        checks["d_eta_zero"] = max_abs(a.d_eta, 2)
-        checks["nabla_xi_xi_zero"] = max_abs(a.nabla_xi_xi, 1)
+    checks.update(MODELS[model].identities(a))
     return {name: float(np.max(v)) for name, v in checks.items()}
 
 
