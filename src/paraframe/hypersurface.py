@@ -1,6 +1,6 @@
 """Hyperspheres in 4-space and their orthonormal moving frames.
 
-`MODELS` is the one record per model, and no other code names a model.  A
+`MODELS` is the one record per model; no other code branches on a model.  A
 `ModelSpec` holds the ambient signature, the sphere sign (so kappa), the
 coordinate jets, the domain check, the sampler, the closed form of
 `reference` with the coordinate of u it reads, and the model's identities:
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
@@ -30,6 +30,9 @@ from .frame import StructureField
 from .jets import ORDER, TJet, _cut, partials
 from .reference import ModelReference, s1_identities, s1_reference, s2_identities, s2_reference
 from .tensors import DIM
+
+if TYPE_CHECKING:  # report imports this module
+    from .report import PointAnalysis
 
 #: Points closer than this to an excluded parameter locus are rejected;
 #: the frame normalization blows up there.
@@ -171,7 +174,7 @@ class ModelSpec:
     sample: Callable[[np.random.Generator], np.ndarray]  # SAMPLE_MARGIN inside the domain
     closed_form: Callable[[float, float], ModelReference]  # of r and u[reference_coord]
     reference_coord: int
-    identities: Callable  # batched PointAnalysis -> {check name: residual per point}
+    identities: Callable[[PointAnalysis], dict[str, np.ndarray]]  # residuals per point
 
     def kappa(self, r: float) -> float:
         """Constant sectional curvature of the model."""

@@ -220,6 +220,23 @@ def test_negative_seed_is_a_usage_error(tmp_path, capsys):
     assert err.strip() == "error: config key seed must be >= 0, got -3"
 
 
+@pytest.mark.parametrize(
+    "key, value, message",
+    [("samples", "0", "must be >= 1"), ("tol", "-1", "must be positive and finite"),
+     ("tol", "nan", "must be positive and finite")],
+)
+def test_bad_value_names_its_flag_or_config_key(tmp_path, capsys, key, value, message):
+    code, out, err = run_cli(capsys, "verify", "--model", "s1", f"--{key}", value)
+    assert (code, out) == (2, "")
+    assert err.strip() == f"error: --{key} {message}"
+
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"model = s1\n{key} = {value}\n")
+    code, out, err = run_cli(capsys, "verify", "--config", str(cfg))
+    assert (code, out) == (2, "")
+    assert err.strip() == f"error: config key {key} {message}"
+
+
 def test_commands_reject_flags_they_do_not_read(capsys):
     for argv in (
         ["classify", "--model", "s1", "--point", "0.3,0.7,1.1", "--grid", "x"],
