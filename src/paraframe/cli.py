@@ -5,12 +5,13 @@
     paraframe verify    --model s1 --samples 100 --seed 42 --format json
     paraframe sweep     --model s1 --grid 0,0.5:1.4:10,0 --format csv
 
-Exit codes: 0 success / verification PASS, 1 verification FAIL, 2 usage or
-domain error.  --point belongs to classify and curvature, --samples and
---seed to verify, --grid to sweep; --model, --r, --tol, --format and
---config are common.  The same keys can be given in a config file of
-`key = value` lines (--config PATH); a config file may hold keys of every
-command, and command-line flags take precedence.
+Exit codes: 0 success / verification PASS, 1 verification FAIL or stdout
+closed before all output was written (a broken pipe, as in `| head -n 1`;
+no traceback is printed), 2 usage or domain error.  --point belongs to
+classify and curvature, --samples and --seed to verify, --grid to sweep;
+--model, --r, --tol, --format and --config are common.  The same keys can
+be given in a config file of `key = value` lines (--config PATH); a config
+file may hold keys of every command, and command-line flags take precedence.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import argparse
 import functools
 import itertools
 import math
+import os
 import sys
 from dataclasses import dataclass
 
@@ -280,7 +282,14 @@ def main(argv: list[str] | None = None) -> int:
             "verify": cmd_verify,
             "sweep": cmd_sweep,
         }[cfg.command]
-        return handler(cfg)
+        code = handler(cfg)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # Python's EPIPE recipe: the reader is gone, so point stdout at
+        # devnull, where the interpreter's final flush stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return USAGE_ERROR

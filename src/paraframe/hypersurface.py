@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING, Callable, Sequence
 import numpy as np
 
 from .frame import StructureField
-from .jets import ORDER, TJet, _cut, partials
+from .jets import ORDER, TJet, _cut, partials, scatter_add
 from .reference import ModelReference, s1_identities, s1_reference, s2_identities, s2_reference
 from .tensors import DIM
 
@@ -106,6 +106,11 @@ class FrameCoeffs:
     jets is the jet of a, leading shape (..., 3, 3), valid to degree 2;
     bracket_field differentiates it.  metric is the induced metric G the
     frame was built against.  Leading axes index the points of a batch.
+
+    a is lower triangular, as Gram-Schmidt on the coordinate basis makes
+    it (the inverse Cholesky factor of G, up to the sign of each row):
+    a[..., i, k] and every coefficient of its jet are exactly zero for
+    k > i.  bracket_field relies on this and rejects a frame without it.
     """
 
     a: np.ndarray
@@ -269,6 +274,31 @@ _PAIR = np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]])
 _UPPER_I, _UPPER_J = np.array([0, 0, 1]), np.array([1, 2, 2])
 
 
+def _concat(jets: list[TJet], axis: int = -1) -> TJet:
+    """Jets of one degree side by side along an existing leading axis."""
+    return TJet(np.concatenate([j.c for j in jets], axis=axis - 1), jets[0].deg)
+
+
+def _gs_inner(low: TJet | None, g: TJet, i: int, y: TJet | None) -> TJet:
+    """<w, y>, the sum over (l, m) of w[l] g[l, m] y[m] in row-major order,
+    over the nonzero terms only.
+
+    w is row i during Gram-Schmidt: the components `low` (0, 1, ...; none
+    if None) and the constant 1 at i, whose terms w[i] g[i, m] are g[i, m]
+    itself.  y is a finished row, components 0..k, or None for w itself,
+    whose constant 1 at m = i ends each row of terms unmultiplied.
+    """
+    ncols = i + 1 if y is None else y.shape[-1]
+    x = TJet(g.c[..., i : i + 1, :ncols, :], g.deg)  # [..., l, m] = w[l] g[l, m]
+    if low is not None:
+        x = _concat([low[..., :, None] * g[..., : low.shape[-1], :ncols], x], axis=-2)
+    if y is not None:
+        return (x * y[..., None, :]).sum(2)
+    if low is not None:
+        x = _concat([x[..., :i] * low[..., None, :], x[..., i:]])
+    return x.sum(2)
+
+
 def orthonormal_frame(jet: Jet3, sig: AmbientSignature) -> FrameCoeffs:
     """Gram-Schmidt frame coefficients, with their jets and the induced metric.
 
@@ -280,48 +310,66 @@ def orthonormal_frame(jet: Jet3, sig: AmbientSignature) -> FrameCoeffs:
     the metric jets are formed for l <= m and mirrored, and every sum runs
     in its index order, so each point's frame is bitwise the frame computed
     for that point alone.
+
+    The frame is lower triangular: row i starts as the coordinate row e_i
+    and only subtracts multiples of the rows before it, so its components
+    above i stay exactly zero and component i stays exactly 1 until the row
+    is normalized.  Each step therefore forms only the products of nonzero
+    components, and a product by the unit component is its other factor.
+    Every skipped product is an exact zero, and every sum starts from +0.0,
+    so no partial sum is -0.0 and adding +-0.0 to it changes no bit; a
+    product by the unit is exact because no operand carries a -0.0
+    coefficient.  So each coefficient is bitwise that of Gram-Schmidt over
+    every entry (for finite jets).
     """
     metric = induced_metric(jet, sig)  # also the positive-definiteness gate
     tangent = TJet.stack([jet.coords.deriv(i) for i in range(DIM)], axis=-2)  # [..., i, a]
     pairs = tangent[..., _PAIR_L, :] * tangent[..., _PAIR_M, :] * sig.weights
-    gj = pairs.sum()[..., _PAIR]  # [..., l, m]
+    g = pairs.sum()[..., _PAIR]  # [..., l, m]
 
-    def inner(x: TJet, y: TJet) -> TJet:
-        # sum over (l, m) of x[l] g[l, m] y[m]
-        return (x[..., :, None] * gj * y[..., None, :]).sum(2)
-
-    rows: list[TJet] = []
+    rows: list[TJet] = []  # row k: components 0..k
     for i in range(DIM):
-        w = TJet.constant(np.eye(DIM)[i])
+        low = None  # components 0..k-1 of row i before projection k; w[i] = 1
         for prev in rows:
-            w = w - inner(w, prev)[..., None] * prev
-        n2 = inner(w, w)
+            # w -= <w, prev> prev; component k of w was zero
+            q = _gs_inner(low, g, i, prev)[..., None] * prev
+            low = 0.0 - q if low is None else _concat([low - q[..., :-1], 0.0 - q[..., -1:]])
+        n2 = _gs_inner(low, g, i, None)
         if np.any(n2.value <= 1e-24):
             raise ValueError("degenerate tangent vectors: cannot orthonormalize")
-        rows.append(w * n2.sqrt().reciprocal()[..., None])
+        s = n2.sqrt().reciprocal()[..., None]
+        rows.append(s if low is None else _concat([low * s, s]))
 
+    c = np.zeros(rows[-1].c.shape[:-2] + (DIM, DIM, rows[-1].c.shape[-1]))
+    for i, row in enumerate(rows):
+        c[..., i, : i + 1, :] = row.c
     # flip each row so its leading coefficient is positive; for s1 this
     # equals the quadrant sign factors sgn(sin u1), sgn(cos u1).  A flipped
     # row only negates the projections onto it in later rows, exactly, so
     # flipping after Gram-Schmidt gives the same bits as flipping in it.
-    jets = TJet.stack(rows, axis=-2)
-    a = jets.value
+    a = c[..., 0]
     v = np.abs(a)
     big = v > 1e-9 * np.max(v, axis=-1, keepdims=True)
     lead = np.take_along_axis(a, np.argmax(big, axis=-1)[..., None], -1)[..., 0]
     flip = np.any(big, axis=-1) & (lead < 0.0)
-    jets = TJet(np.where(flip[..., None, None], -jets.c, jets.c), jets.deg)
+    jets = TJet(np.where(flip[..., None, None], -c, c), rows[-1].deg)
     return FrameCoeffs(a=partials(jets, 0), jets=jets, metric=metric)
 
 
-def _det3(q: TJet) -> TJet:
-    """Determinants of the 3x3 jet matrices q[..., row, col], by cofactors
-    along the first row."""
-    minors = q[..., [1, 1, 1], [1, 0, 0]] * q[..., [2, 2, 2], [2, 2, 1]] - (
-        q[..., [1, 1, 1], [2, 2, 1]] * q[..., [2, 2, 2], [1, 0, 0]]
-    )
-    t = q[..., 0, :] * minors
-    return t[..., 0] - t[..., 1] + t[..., 2]
+#: The nonzero terms of the bracket sums b[pair, m]: a[i, l] d_l a[j, m] with
+#: l <= i, m <= j, and a[j, l] d_l a[i, m] with l <= j, m <= i, for each pair
+#: i < j, ordered by l, then the plus before the minus term.  Columns: the
+#: rows of the left and right factors a[left, l], d_l a[right, m], then l, m,
+#: the sign and the target pair * DIM + m.
+_BRACKET_TERMS = np.array([
+    (left, right, l, m, sign, pair * DIM + m)
+    for l in range(DIM)
+    for sign in (1, -1)
+    for pair, (i, j) in enumerate(zip(_UPPER_I.tolist(), _UPPER_J.tolist()))
+    for left, right in [(i, j) if sign > 0 else (j, i)]
+    for m in range(right + 1)
+    if l <= left
+])
 
 
 def bracket_field(fc: FrameCoeffs) -> StructureField:
@@ -333,29 +381,47 @@ def bracket_field(fc: FrameCoeffs) -> StructureField:
     derivatives, so degree-2 frame jets give dc exactly, and every product
     here runs at degree 1.  A batched frame gives batched fields; the three
     pairs i < j and the three Cramer columns are solved in one pass.
+
+    The frame must be lower triangular, as `orthonormal_frame` makes it:
+    a[..., i, m] and its jet are exactly zero for m > i.  So only the 22
+    nonzero products of the 54 in the sums above are formed, and added in
+    their order from +0.0 (x - y is x + (-y)); and the Cramer determinants
+    of the upper-triangular a^T keep only their nonzero cofactor terms, in
+    the order of the cofactor expansion along the first row.  The skipped
+    terms are exact zeros, so every coefficient is bitwise that of the
+    dense sums and determinants (for finite jets).
     """
     aj = fc.jets
     if aj.deg < 2:
         raise ValueError(f"frame jets must be valid to degree 2, got {aj.deg}")
+    if np.any(fc.a[..., _UPPER_I, _UPPER_J] != 0.0) or np.any(
+        aj.c[..., _UPPER_I, _UPPER_J, :] != 0.0
+    ):
+        raise ValueError("frame coefficients must be lower triangular")
     daj = TJet.stack([aj.deriv(l) for l in range(DIM)], axis=-2)  # [..., i, l, m] = d_l a[i, m]
-    pi, pj = _UPPER_I, _UPPER_J
+    left, right, l, m, sign, target = _BRACKET_TERMS.T
+    terms = TJet(_cut(aj.c, 1)[..., left, l, :], 1) * daj[..., right, l, m]
     # b[..., pair, m] = sum_l a[i, l] d_l a[j, m] - a[j, l] d_l a[i, m]
-    plus = aj[..., pi, :, None] * daj[..., pj, :, :]
-    minus = aj[..., pj, :, None] * daj[..., pi, :, :]
-    b = TJet.constant(0.0)
-    for l in range(DIM):
-        b = b + plus[..., l, :] - minus[..., l, :]
+    b = scatter_add(terms.c * sign[:, None], target, DIM * DIM)
+    b = TJet(b.reshape(b.shape[:-2] + (DIM, DIM, b.shape[-1])), 1)
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]  # [..., pair]
 
-    # frame components: sum_k C_ij^k a[k, m] = B_ij^m, by Cramer's rule
-    mat = TJet(np.swapaxes(_cut(aj.c, 1), -3, -2), 1)  # [..., m, k]
-    inv_det = _det3(mat).reciprocal()
-    column = np.eye(DIM, dtype=bool)[:, None, :, None]  # [col, row, k]
-    repl = np.where(column, b.c[..., :, None, :, None, :], mat.c[..., None, None, :, :, :])
-    solved = _det3(TJet(repl, 1)) * inv_det[..., None, None]  # [..., pair, k]
+    # frame components: sum_k C_ij^k a[k, m] = B_ij^m, by Cramer's rule on
+    # the upper-triangular u = a^T, u[m, k] = a[k, m]
+    u = TJet(_cut(aj.c, 1), 1)
+    u00, u01, u02, u11, u12, u22 = (
+        u[..., k, m, None] for k, m in ((0, 0), (1, 0), (2, 0), (1, 1), (2, 1), (2, 2))
+    )
+    m0 = u11 * u22
+    inv_det = (u00 * m0).reciprocal()
+    m1 = b1 * u22 - u12 * b2
+    ub2 = u11 * b2
+    columns = [(b0 * m0 - u01 * m1) + u02 * (0.0 - ub2), u00 * m1, u00 * ub2]
+    solved = TJet.stack(columns, axis=-1) * inv_det[..., None]  # [..., pair, k]
 
     c_jets = np.zeros(solved.c.shape[:-3] + (DIM,) * 3 + solved.c.shape[-1:])
-    c_jets[..., pi, pj, :, :] = solved.c
-    c_jets[..., pj, pi, :, :] = -solved.c
+    c_jets[..., _UPPER_I, _UPPER_J, :, :] = solved.c
+    c_jets[..., _UPPER_J, _UPPER_I, :, :] = -solved.c
     c_jets = TJet(c_jets, solved.deg)
     c = partials(c_jets, 0)
     dcoord = partials(c_jets, 1)  # dcoord[m, ..., i, j, k] = d_m C_ij^k

@@ -167,6 +167,20 @@ def _blocked_product(a: np.ndarray, b: np.ndarray, deg: int) -> np.ndarray:
     return out.reshape(lead + (n,))
 
 
+def scatter_add(terms: np.ndarray, target: np.ndarray, n: int) -> np.ndarray:
+    """out[..., t, :] = the sum of the coefficient arrays terms[..., q, :]
+    over the q with target[q] = t, for each t < n and each leading cell.
+
+    One `np.bincount` adds the terms of each target in the order of q,
+    from +0.0, as a loop over q does; a target with no terms is +0.0.
+    """
+    lead, nc = terms.shape[:-2], terms.shape[-1]
+    cells = math.prod(lead)
+    flat = (np.arange(0, cells * n, n)[:, None] + target)[..., None] * nc + np.arange(nc)
+    out = np.bincount(flat.ravel(), weights=terms.ravel(), minlength=cells * n * nc)
+    return out.reshape(lead + (n, nc))
+
+
 def _cut(c: np.ndarray, deg: int) -> np.ndarray:
     """The coefficients of c through degree deg: a view of its first _NC[deg]."""
     n = _NC[deg]

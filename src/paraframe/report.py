@@ -64,11 +64,11 @@ class PointAnalysis:
 
 
 #: Points per call of the pipeline.  On a 2-core VM (Python 3.11, numpy 2.4)
-#: a `_batches` call costs about 2.1 ms plus 0.12 ms per point, on s1 and s2
+#: a `_batches` call costs about 2.0 ms plus 0.085 ms per point, on s1 and s2
 #: alike (best of 30 rounds at 1-64 points of distinct u1, each with its own
-#: reference), so the fixed part is two thirds at 8 points, a third at 32 and
-#: a fifth at 64, where the 54 in-domain rows of a sweep-grid benchmark call
-#: are one chunk.  The stages' arrays grow with the chunk, but jet products
+#: reference), so the fixed part is three quarters at 8 points, two fifths at
+#: 32 and a quarter at 64, where the 54 in-domain rows of a sweep-grid
+#: benchmark call are one chunk.  The stages' arrays grow with the chunk, but jet products
 #: over more than 256 cells run in blocks, so 64 points peak at 0.94 MB
 #: (tracemalloc; 1.49 MB unblocked), and the sweep-grid benchmark's peak RSS
 #: is 0.4% above that of chunks of 32 (BENCH_12.json).

@@ -277,3 +277,20 @@ def test_subprocess_byte_identical():
     second = subprocess.run(cmd, capture_output=True)
     assert first.returncode == second.returncode == 0
     assert first.stdout == second.stdout
+
+
+def test_closed_stdout_exits_1_without_traceback():
+    # about 160 KB of csv, more than a pipe buffer holds, so the writes after
+    # the reader closes its end fail with EPIPE
+    cmd = [
+        sys.executable, "-m", "paraframe",
+        "sweep", "--model", "s1", "--grid", "0.3,0.5:1.4:400,1.1", "--format", "csv",
+    ]
+    proc = subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    header = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 1
+    assert header.startswith(b"model,r,u0,u1,u2,status")
+    assert err == b""

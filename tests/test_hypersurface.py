@@ -204,6 +204,23 @@ def test_bracket_field_rejects_frame_jets_below_degree_2():
         bracket_field(low)
 
 
+@pytest.mark.parametrize("coeff", [0, 3, 9])
+def test_bracket_field_rejects_a_frame_not_lower_triangular(coeff):
+    # the triangular Cramer solve would return a wrong field for such a frame
+    p = mp("s1", 1.0, [0.3, 0.7, 1.1])
+    fc = orthonormal_frame(immerse(p), p.spec.signature)
+    jets = fc.jets.c.copy()
+    jets[1, 2, coeff] = 1e-300
+    a = fc.a.copy()
+    a[0, 1] = 1e-300
+    for bad in (
+        FrameCoeffs(a=fc.a, jets=TJet(jets, fc.jets.deg), metric=fc.metric),
+        FrameCoeffs(a=a, jets=fc.jets, metric=fc.metric),
+    ):
+        with pytest.raises(ValueError, match="lower triangular"):
+            bracket_field(bad)
+
+
 def test_bracket_antisymmetry_and_jacobi(batches):
     for batch in batches.values():
         for item in batch:
