@@ -52,6 +52,9 @@ SWEEP_GRID = "0.3:0.9:2,0:3.141592653589793:5,1.1"
 #: s2 grid of 5 x 3 x 3 rows; the middle u1 column (u1 = 0) is skipped.
 CHUNK_GRID = "-0.6:0.6:5,0.4:2.0:3,-1:1:3"
 
+#: s1 grid with an empty u1 axis: no rows.
+EMPTY_GRID = "0.3,0.5:1:0,1.1"
+
 #: s1 grid of 12 x 3 x 3 rows; the middle u1 column (u1 = pi/2) is skipped.
 WIDE_GRID = "0.1:6.0:12,1.0:2.141592653589793:3,0.2:5.0:3"
 
@@ -87,9 +90,13 @@ def _cases() -> dict[str, list[str]]:
     cases["verify_s1_chunks_json"] = [
         "verify", "--model", "s1", "--samples", "19", "--seed", "5", "--format", "json",
     ]
-    cases["sweep_s2_chunks_csv"] = [
-        "sweep", "--model", "s2", "--r", "1", f"--grid={CHUNK_GRID}", "--format", "csv",
-    ]
+    for fmt in ("csv", "json", "text"):
+        cases[f"sweep_s2_chunks_{fmt}"] = [
+            "sweep", "--model", "s2", "--r", "1", f"--grid={CHUNK_GRID}", "--format", fmt,
+        ]
+        cases[f"sweep_s1_empty_{fmt}"] = [
+            "sweep", "--model", "s1", f"--grid={EMPTY_GRID}", "--format", fmt,
+        ]
     # the same at wider chunks: 43 samples (one chunk) on either model, and
     # a 108-row grid whose 72 in-domain rows split 64 + 8, with runs of
     # skipped u1 = pi/2 rows inside the chunks
