@@ -7,11 +7,19 @@
 
 Exit codes: 0 success / verification PASS, 1 verification FAIL or stdout
 closed before all output was written (a broken pipe, as in `| head -n 1`;
-no traceback is printed), 2 usage or domain error.  --point belongs to
-classify and curvature, --samples and --seed to verify, --grid to sweep;
---model, --r, --tol, --format and --config are common.  The same keys can
-be given in a config file of `key = value` lines (--config PATH); a config
-file may hold keys of every command, and command-line flags take precedence.
+no traceback is printed), 2 usage or domain error.
+
+A sweep writes its rows a chunk at a time, as each chunk is analysed, so a
+closed pipe can stop it mid-way.  A grid point outside the domain is a
+`skipped` row and a point whose analysis fails a `FAIL` row, each with the
+error in `warning`; one stderr line after the last row counts each kind,
+and the sweep exits 0, as it does when a row fails a residual.
+
+--point belongs to classify and curvature, --samples and --seed to verify,
+--grid to sweep; --model, --r, --tol, --format and --config are common.
+The same keys can be given in a config file of `key = value` lines
+(--config PATH); a config file may hold keys of every command, and
+command-line flags take precedence.
 """
 
 from __future__ import annotations
@@ -28,11 +36,11 @@ import numpy as np
 
 from .hypersurface import MODELS, DomainError, ModelPoint
 from .report import (
+    SweepText,
     classify_report,
     curvature_report,
     render_csv,
     render_json,
-    render_sweep_csv,
     render_text,
     run_verify,
     sweep_rows,
@@ -247,27 +255,19 @@ def cmd_verify(cfg: RunConfig) -> int:
 def cmd_sweep(cfg: RunConfig) -> int:
     if cfg.grid is None:
         raise UsageError("sweep needs --grid")
-    rows = sweep_rows(cfg.model, cfg.r, itertools.product(*cfg.grid), cfg.tol)
-
-    skipped = sum(1 for row in rows if row["status"] == "skipped")
-    if cfg.fmt == "csv":
-        print(render_sweep_csv(rows))
-    elif cfg.fmt == "json":
-        payload = {
-            "command": "sweep",
-            "model": cfg.model,
-            "r": cfg.r,
-            "rows": rows,
-            "skipped": skipped,
-        }
-        print(render_json(payload))
-    else:
-        for row in rows:
-            print(render_text(row))
-            print()
+    text = SweepText(cfg.fmt, cfg.model, cfg.r)
+    write = sys.stdout.write
+    write(text.head)
+    for rows in sweep_rows(cfg.model, cfg.r, itertools.product(*cfg.grid), cfg.tol):
+        write(text.rows(rows))
+    write(text.tail())
+    skipped, failed = text.counts["skipped"], text.counts["FAIL"]
     if skipped:
         print(f"warning: {skipped} grid point(s) outside the domain were skipped",
               file=sys.stderr)
+    if failed:
+        print(f"warning: the analysis of {failed} grid point(s) failed; their rows are FAIL "
+              "with the error in warning", file=sys.stderr)
     return 0
 
 

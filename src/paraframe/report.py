@@ -4,7 +4,8 @@ Reports are plain dicts with a fixed key order.  Their scalars are plain
 `float`, `int`, `bool` and `str`, and `None` in JSON only (as null); the
 renderers format each by its exact type, floats at 17 significant digits, so
 identical configurations produce byte-identical artifacts.  Any other type,
-a numpy scalar included, is a TypeError.
+a numpy scalar included, is a TypeError.  A sweep's rows are tuples instead,
+streamed a chunk at a time by `SweepText` under the same rules and bytes.
 """
 
 from __future__ import annotations
@@ -102,7 +103,7 @@ def analyze_points(points: Sequence[ModelPoint], tol: float) -> list[PointAnalys
     return [
         _point(b, n)
         for chunk in _chunked(points)
-        for b in _batches(chunk, tol)
+        for b in _analysed(chunk, tol)
         for n in range(len(b.status))
     ]
 
@@ -118,10 +119,11 @@ _PLANES = tuple((np.eye(DIM)[a], np.eye(DIM)[b]) for a, b in ((0, 1), (0, 2), (1
 _SECTIONAL_KEYS = ("k_01", "k_02", "k_12")
 
 
-def _batches(chunk: list[ModelPoint], tol: float) -> list[PointAnalysis]:
+def _batches(chunk: list[ModelPoint], tol: float) -> list[PointAnalysis | Exception]:
     """The batched analysis of one chunk: the jet front (immerse,
     orthonormal_frame, bracket_field) and its residuals, then `_analyze_field`;
-    if the chunk raises, one batch per point instead."""
+    if the chunk raises, one batch per point instead, and a point that raises
+    on its own is its error, in its place."""
     try:
         jet = immerse(chunk)
         fc = orthonormal_frame(jet, chunk[0].spec.signature)
@@ -141,13 +143,22 @@ def _batches(chunk: list[ModelPoint], tol: float) -> list[PointAnalysis]:
         }
         kappa = np.array([p.spec.kappa(p.r) for p in chunk])
         batch = _analyze_field(sf, kappa, refs, residuals, tol)
-    except (ValueError, ArithmeticError, RuntimeWarning):
+    except (ValueError, ArithmeticError, RuntimeWarning) as exc:
         # RuntimeWarning is raised only where warnings are errors; a batched
         # stage meets one point's overflow before another point's error
         if len(chunk) == 1:
-            raise
+            return [exc]
         return [b for p in chunk for b in _batches([p], tol)]
     return [batch]
+
+
+def _analysed(chunk: list[ModelPoint], tol: float) -> list[PointAnalysis]:
+    """`_batches` of a chunk, raising the first failing point's error."""
+    batches = _batches(chunk, tol)
+    for b in batches:
+        if isinstance(b, Exception):
+            raise b
+    return batches
 
 
 def _analyze_field(sf: frame.StructureField, kappa: np.ndarray, refs: list[ModelReference],
@@ -341,7 +352,7 @@ def run_verify(model: str, r: float, samples: int, seed: int, tol: float) -> dic
     points = sample_points(model, samples, seed, r=r)
     worst: dict[str, float] = {}
     for chunk in _chunked(points):
-        for b in _batches(chunk, tol):
+        for b in _analysed(chunk, tol):
             for name, value in _checks(model, b, tol).items():
                 worst[name] = max(worst.get(name, 0.0), value)
     checks = [
@@ -454,7 +465,7 @@ def _csv_field(v) -> str:
     number or bool never does, so it skips the scan."""
     if type(v) is not str:
         return format_scalar(v)
-    if any(ch in v for ch in ',"\n'):
+    if "," in v or '"' in v or "\n" in v:
         return '"' + v.replace('"', '""') + '"'
     return v
 
@@ -465,41 +476,6 @@ def render_csv(report: dict) -> str:
     header = ",".join(_csv_field(k) for k, _ in pairs)
     values = ",".join(_csv_field(v) for _, v in pairs)
     return header + "\n" + values
-
-
-def sweep_rows(model: str, r: float, grid: Iterable, tol: float) -> list[dict]:
-    """One row per grid point u, in order; domain violations are reported,
-    not raised.
-
-    In-domain points are analysed CHUNK at a time, and each row reads its
-    fields off the chunk's batched analysis, so no analysis outlives its
-    chunk.
-    """
-    rows: list[dict] = []
-    pending: list[tuple[dict, ModelPoint]] = []
-
-    def flush():
-        if not pending:
-            return
-        fields = [f for b in _batches([p for _, p in pending], tol) for f in _batch_rows(b)]
-        for (row, _), f in zip(pending, fields):
-            row.update(f)
-        pending.clear()
-
-    for u in grid:
-        row = {"model": model, "r": float(r), "u0": float(u[0]), "u1": float(u[1]),
-               "u2": float(u[2])}
-        rows.append(row)
-        try:
-            p = ModelPoint(model=model, r=r, u=np.asarray(u, dtype=float))
-        except ValueError as exc:
-            row.update(status="skipped", warning=str(exc))
-            continue
-        pending.append((row, p))
-        if len(pending) == CHUNK:
-            flush()
-    flush()
-    return rows
 
 
 #: The fixed curvature columns of a sweep row: the field and component each
@@ -518,39 +494,159 @@ _SWEEP_ENTRIES = (
 _SWEEP_PARAMS = ("theta_0", "theta_1", "theta_2", "theta_star_0", "omega_1", "omega_2",
                  "lam", "mu", "nu")
 
-#: The columns of a sweep row: the grid point, then `_batch_rows`' fields.
+#: The columns of a sweep row: the sweep's model and r, the grid point, then
+#: `_batch_columns`' fields.
 SWEEP_COLUMNS = [
     "model", "r", "u0", "u1", "u2", "status", "warning", "classes", "is_f0", "class_residual",
     *_SWEEP_PARAMS, "tau", "tau_star", *_SECTIONAL_KEYS, "space_form_residual",
     *(key for key, _, _ in _SWEEP_ENTRIES), "max_residual",
 ]
 
+#: The exact type of each value of an analysed row of `sweep_rows`, which
+#: holds the columns from u0 on; a skipped or failed row stops after warning.
+_ROW_TYPES = (float, float, float, str, str, str, bool, *(float,) * (len(SWEEP_COLUMNS) - 9))
+_SHORT_ROW_TYPES = _ROW_TYPES[:5]
 
-def _batch_rows(b: PointAnalysis) -> list[dict]:
-    """The sweep fields of each point of a batched analysis, in order; every
-    column is read off the batch once, as Python floats."""
+
+def sweep_rows(model: str, r: float, grid: Iterable, tol: float) -> Iterator[list[tuple]]:
+    """The rows of a sweep over the grid points u, in order, one list per
+    chunk: the rows up to CHUNK in-domain points or CHUNK skipped rows.
+
+    A row is the tuple of its values in SWEEP_COLUMNS order from u0 on; model
+    and r are the sweep's own.  An in-domain point's row reads its fields off
+    its chunk's batched analysis.  A point outside the domain is a `skipped`
+    row and a point whose own analysis raises a `FAIL` row; both carry the
+    error in `warning` and end there.  Only one chunk is held at a time.
+    """
+    rows: list[tuple] = []
+    points: list[ModelPoint] = []
+    for u in grid:
+        u = (float(u[0]), float(u[1]), float(u[2]))
+        try:
+            points.append(ModelPoint(model=model, r=r, u=np.array(u)))
+        except ValueError as exc:
+            rows.append((*u, "skipped", str(exc)))
+        else:
+            rows.append(u)  # completed by `_chunk_rows`
+        if len(points) == CHUNK or len(rows) - len(points) == CHUNK:
+            yield _chunk_rows(rows, points, tol)
+            rows, points = [], []
+    if rows:
+        yield _chunk_rows(rows, points, tol)
+
+
+def _chunk_rows(rows: list[tuple], points: list[ModelPoint], tol: float) -> list[tuple]:
+    """`rows` with each point's grid coordinates completed to its row."""
+    fields: list[tuple] = []
+    for b in _batches(points, tol) if points else ():
+        if isinstance(b, Exception):
+            fields.append(("FAIL", str(b)))
+        else:
+            fields.extend(zip(*_batch_columns(b)))
+    it = iter(fields)
+    return [row + next(it) if len(row) == 3 else row for row in rows]
+
+
+def _batch_columns(b: PointAnalysis) -> list[list]:
+    """The sweep columns from status on, each read off a batched analysis
+    once, as Python values, one per point."""
     res = b.residuals
-    columns = {
-        "class_residual": res["class_decomposition"].tolist(),
-        **{key: b.decomposition.params[key].tolist() for key in _SWEEP_PARAMS},
-        "tau": b.tau.tolist(),
-        "tau_star": b.tau_star.tolist(),
-        **{key: kab.tolist() for key, kab in zip(_SECTIONAL_KEYS, b.k)},
-        "space_form_residual": res["space_form"].tolist(),
-        **{key: [v if abs(v) > REPORT_EPS else 0.0 for v in getattr(b, name)[(..., *idx)].tolist()]
-           for key, name, idx in _SWEEP_ENTRIES},
-        # Python max over each point's residuals in their insertion order
-        "max_residual": [max(r) for r in zip(*(v.tolist() for v in res.values()))],
-    }
     return [
-        {"status": status, "warning": "", "classes": "+".join(_class_names(label)),
-         "is_f0": label.is_f0, **{key: col[n] for key, col in columns.items()}}
-        for n, (label, status) in enumerate(zip(b.label, b.status))
+        b.status,
+        [""] * len(b.status),
+        ["+".join(_class_names(label)) for label in b.label],
+        [label.is_f0 for label in b.label],
+        res["class_decomposition"].tolist(),
+        *(b.decomposition.params[key].tolist() for key in _SWEEP_PARAMS),
+        b.tau.tolist(),
+        b.tau_star.tolist(),
+        *(kab.tolist() for kab in b.k),
+        res["space_form"].tolist(),
+        *([v if abs(v) > REPORT_EPS else 0.0 for v in getattr(b, name)[(..., *idx)].tolist()]
+          for _, name, idx in _SWEEP_ENTRIES),
+        # Python max over each point's residuals in their insertion order
+        [max(r) for r in zip(*(v.tolist() for v in res.values()))],
     ]
 
 
-def render_sweep_csv(rows: list[dict]) -> str:
-    lines = [",".join(SWEEP_COLUMNS)]
-    for row in rows:
-        lines.append(",".join(_csv_field(row.get(col, "")) for col in SWEEP_COLUMNS))
-    return "\n".join(lines)
+#: The %-slot of each column of a row of `sweep_rows`, by its type.
+_SLOTS = dict(zip(SWEEP_COLUMNS[2:], ("%.17g" if t is float else "%s" for t in _ROW_TYPES)))
+
+
+def _sweep_template(fmt: str, fixed: dict[str, str], width: int) -> str:
+    """The %-template of a sweep row that fills the first `width` columns:
+    the `fixed` text of a column where given, else its slot."""
+    texts = [(col, fixed[col].replace("%", "%%") if col in fixed else _SLOTS[col])
+             for col in SWEEP_COLUMNS[:width]]
+    if fmt == "csv":
+        return ",".join([text for _, text in texts] + [""] * (len(SWEEP_COLUMNS) - width)) + "\n"
+    if fmt == "text":
+        return "".join(f"{col.replace('%', '%%')} = {text}\n" for col, text in texts) + "\n"
+    items = (f"{_json_escape(col).replace('%', '%%')}: {text}" for col, text in texts)
+    return "{\n      " + ",\n      ".join(items) + "\n    }"
+
+
+class SweepText:
+    """The text of one sweep in one format, made a chunk of rows at a time:
+    `head`, then `rows(chunk)` for each chunk of `sweep_rows`, then `tail()`.
+
+    The bytes are those of the generic renderers: csv is a header line and a
+    `render_csv` value line per row, blank after a short row's last value;
+    text is `render_text` of each row followed by a blank line; json is
+    `render_json` of {command, model, r, rows, skipped}.  Each kind of row
+    (analysed, skipped, failed) has one %-template, built here from
+    SWEEP_COLUMNS with model and r as fixed text: floats fill `%.17g` slots,
+    and strings, escaped first, and bools `%s` slots.  A value of any other
+    exact type, a numpy scalar included, is a TypeError, as in
+    `format_scalar`.  `counts` holds the skipped and FAIL rows so far.
+    """
+
+    def __init__(self, fmt: str, model: str, r: float):
+        self._escape = {"csv": _csv_field, "json": _json_escape, "text": str}[fmt]
+        fixed = {"model": self._escape(format_scalar(model)), "r": format_scalar(r)}
+        self._analysed = _sweep_template(fmt, fixed, len(SWEEP_COLUMNS))
+        self._short = {
+            status: _sweep_template(fmt, {**fixed, "status": self._escape(status)}, 7)
+            for status in ("skipped", "FAIL")
+        }
+        self.counts = dict.fromkeys(self._short, 0)
+        self._fmt = fmt
+        # json rows are the items of one list, so a comma goes between two
+        self._sep = ",\n    " if fmt == "json" else ""
+        self._written = 0
+        self.head = {
+            "csv": ",".join(SWEEP_COLUMNS) + "\n",
+            "json": f'{{\n  "command": "sweep",\n  "model": {fixed["model"]},\n'
+                    f'  "r": {fixed["r"]},\n  "rows": [',
+            "text": "",
+        }[fmt]
+
+    def rows(self, rows: list[tuple]) -> str:
+        """The text of one chunk of rows."""
+        escape, parts = self._escape, []
+        for row in rows:
+            types = tuple(map(type, row))
+            if types == _ROW_TYPES:
+                parts.append(self._analysed % (
+                    row[:3] + (escape(row[3]), escape(row[4]), escape(row[5]),
+                               format_scalar(row[6])) + row[7:]
+                ))
+            elif types == _SHORT_ROW_TYPES:
+                self.counts[row[3]] += 1
+                parts.append(self._short[row[3]] % (row[0], row[1], row[2], escape(row[4])))
+            else:
+                bad = next((v for v, t in zip(row, _ROW_TYPES) if type(v) is not t), row)
+                raise TypeError(f"cannot render a value of type {type(bad).__name__} in a "
+                                "sweep row")
+        if not parts:
+            return ""
+        lead = self._sep if self._written else self._sep[1:]  # no comma before the first
+        self._written += len(parts)
+        return lead + self._sep.join(parts)
+
+    def tail(self) -> str:
+        """The text after the last row: json's `skipped` count."""
+        if self._fmt != "json":
+            return ""
+        close = "\n  ]" if self._written else "]"
+        return f'{close},\n  "skipped": {format_scalar(self.counts["skipped"])}\n}}\n'

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from paraframe.hypersurface import EXCLUSION, TWO_PI, DomainError, ModelPoint, sample_points
 from paraframe.report import (
     CHUNK,
+    SWEEP_COLUMNS,
     _batches,
     _class_names,
     _entries,
@@ -224,9 +225,23 @@ def _point_rows(model: str, r: float, grid, tol: float) -> list[dict]:
         except ValueError as exc:
             row.update(status="skipped", warning=str(exc))
         else:
-            row.update(_point_fields(analyze_point(p, tol)))
+            try:
+                row.update(_point_fields(analyze_point(p, tol)))
+            except (ValueError, ArithmeticError, RuntimeWarning) as exc:
+                row.update(status="FAIL", warning=str(exc))
         rows.append(row)
     return rows
+
+
+def _sweep_dicts(model: str, r: float, grid, tol: float) -> list[dict]:
+    """The rows of `sweep_rows`, each keyed by its columns after the sweep's
+    model and r."""
+    out = []
+    for chunk in sweep_rows(model, r, grid, tol):
+        for row in chunk:
+            assert len(row) in (5, len(SWEEP_COLUMNS) - 2)
+            out.append(dict(zip(SWEEP_COLUMNS, (model, float(r), *row))))
+    return out
 
 
 def _typed_bits(rows: list[dict]) -> list[list[tuple]]:
@@ -259,12 +274,14 @@ def _sampled_sweep(model: str, n: int) -> tuple[str, float, list]:
 # rows that pass, across a chunk boundary with a skipped row inside a chunk
 @example(_sampled_sweep("s1", CHUNK + 5))
 @example(_sampled_sweep("s2", CHUNK + 5))
+# a point that fails on its own between two that pass, in one chunk
+@example(("s2", 1.0, [(0.5, 1.0, 1.0), (0.5, 1.0, 20.0), (0.6, 1.0, 0.5)]))
+# a run of more than CHUNK skipped rows between the points of a chunk
+@example(("s1", 1.0, [(0.3, 0.7, 1.1), *[SKIPPED["s1"]] * (CHUNK + 3), (0.4, 0.7, 1.1)]))
 def test_sweep_rows_equal_their_points(sweep):
     model, r, grid = sweep
-    singles, single_error = _outcome(lambda: _typed_bits(_point_rows(model, r, grid, TOL)))
-    batch, batch_error = _outcome(lambda: _typed_bits(sweep_rows(model, r, grid, TOL)))
-    assert batch_error == single_error
-    assert batch == singles
+    batch = _typed_bits(_sweep_dicts(model, r, grid, TOL))
+    assert batch == _typed_bits(_point_rows(model, r, grid, TOL))
 
 
 #: Bound on the tracemalloc peak of one `_batches` call on a full CHUNK of

@@ -19,6 +19,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import curved, skew
 from paraframe.cli import main
@@ -35,12 +37,14 @@ from paraframe.jets import partials
 from paraframe.hypersurface import ModelPoint
 from paraframe.report import (
     REPORT_EPS,
+    SWEEP_COLUMNS,
+    SweepText,
+    _csv_field,
     _entries,
     classify_report,
     curvature_report,
     render_csv,
     render_json,
-    render_sweep_csv,
     render_text,
 )
 
@@ -54,6 +58,10 @@ CHUNK_GRID = "-0.6:0.6:5,0.4:2.0:3,-1:1:3"
 
 #: s1 grid with an empty u1 axis: no rows.
 EMPTY_GRID = "0.3,0.5:1:0,1.1"
+
+#: s2 grid of 3 rows whose last two points fail in the analysis, each its own
+#: way ("Eigenvalues did not converge", "math range error"): FAIL rows.
+FAIL_GRID = "0.5,0.7,1:800:3"
 
 #: s1 grid of 12 x 3 x 3 rows; the middle u1 column (u1 = pi/2) is skipped.
 WIDE_GRID = "0.1:6.0:12,1.0:2.141592653589793:3,0.2:5.0:3"
@@ -96,6 +104,10 @@ def _cases() -> dict[str, list[str]]:
         ]
         cases[f"sweep_s1_empty_{fmt}"] = [
             "sweep", "--model", "s1", f"--grid={EMPTY_GRID}", "--format", fmt,
+        ]
+    for fmt in ("csv", "json"):
+        cases[f"sweep_s2_fail_{fmt}"] = [
+            "sweep", "--model", "s2", f"--grid={FAIL_GRID}", "--format", fmt,
         ]
     # the same at wider chunks: 43 samples (one chunk) on either model, and
     # a 108-row grid whose 72 in-domain rows split 64 + 8, with runs of
@@ -164,12 +176,63 @@ def test_render_edge_cases():
 
 
 @pytest.mark.parametrize(
-    "render", [render_json, render_text, render_csv, lambda row: render_sweep_csv([row])]
+    "render", [render_json, render_text, render_csv,
+               lambda report: SweepText("csv", report["model"], report["r"])]
 )
 def test_renderers_reject_numpy_scalars(render):
     # a report holds plain Python scalars only; a numpy one is not formatted
     with pytest.raises(TypeError, match="float64"):
         render({"model": "s1", "r": np.float64(2.0)})
+
+
+def test_sweep_text_rejects_numpy_scalars_in_rows():
+    row = (0.3, np.float64(0.7), 1.1, "skipped", "outside")
+    with pytest.raises(TypeError, match="float64"):
+        SweepText("csv", "s1", 1.0).rows([row])
+
+
+def _generic_sweep(fmt: str, model: str, r: float, rows: list[dict]) -> str:
+    """A sweep's text from the generic renderers: the reference SweepText
+    must equal."""
+    if fmt == "json":
+        skipped = sum(row["status"] == "skipped" and len(row) == 7 for row in rows)
+        payload = {"command": "sweep", "model": model, "r": r, "rows": rows, "skipped": skipped}
+        return render_json(payload) + "\n"
+    if fmt == "text":
+        return "".join(render_text(row) + "\n\n" for row in rows)
+    lines = [",".join(SWEEP_COLUMNS)]
+    lines += [",".join(_csv_field(row.get(col, "")) for col in SWEEP_COLUMNS) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+#: Every float edge case a %.17g slot must write as format(x, ".17g") does.
+EDGE_FLOATS = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -1.7976931348623157e308, 0.1]
+texts = st.text(st.sampled_from('ab%,"\n\\\x01 é'), max_size=6)
+floats = st.one_of(st.floats(), st.sampled_from(EDGE_FLOATS))
+analysed_rows = st.tuples(
+    floats, floats, floats, st.sampled_from(("PASS", "FAIL")), texts, texts, st.booleans(),
+    *[floats] * (len(SWEEP_COLUMNS) - 9),
+)
+short_rows = st.tuples(floats, floats, floats, st.sampled_from(("skipped", "FAIL")), texts)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(
+    st.sampled_from(("csv", "json", "text")),
+    texts,
+    floats,
+    st.lists(st.lists(st.one_of(analysed_rows, short_rows), max_size=4), max_size=4),
+)
+@example("json", "s%1", 1.0, [[], [(0.5, 0.7, 1.0, "FAIL", "x%sy")], []])
+def test_sweep_text_is_the_generic_renderers(fmt, model, r, chunks):
+    text = SweepText(fmt, model, r)
+    streamed = text.head + "".join(text.rows(rows) for rows in chunks) + text.tail()
+    rows = [dict(zip(SWEEP_COLUMNS, (model, r, *row))) for rows in chunks for row in rows]
+    assert streamed == _generic_sweep(fmt, model, r, rows)
+    assert text.counts == {
+        status: sum(len(row) == 7 and row["status"] == status for row in rows)
+        for status in ("skipped", "FAIL")
+    }
 
 
 @pytest.mark.parametrize("render", [render_text, render_csv])

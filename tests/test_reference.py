@@ -12,7 +12,7 @@ import pytest
 from paraframe import report
 from paraframe.hypersurface import DomainError, ModelPoint
 from paraframe.reference import model_reference, reference_key
-from paraframe.report import CHUNK, analyze_points, sweep_rows
+from paraframe.report import CHUNK, SWEEP_COLUMNS, analyze_points, sweep_rows
 
 TOL = 1e-9
 
@@ -54,7 +54,8 @@ def test_one_model_reference_call_per_key_and_chunk(model, monkeypatch):
         return model_reference(p)
 
     monkeypatch.setattr(report, "model_reference", counted)
-    rows = sweep_rows(model, 2.0, _grid(model), TOL)
+    rows = [dict(zip(SWEEP_COLUMNS[2:], row)) for chunk in sweep_rows(model, 2.0, _grid(model), TOL)
+            for row in chunk]
     assert sum(row["status"] == "PASS" for row in rows) == len(points)
     chunks = [points[n : n + CHUNK] for n in range(0, len(points), CHUNK)]
     expected = [key for chunk in chunks for key in dict.fromkeys(map(reference_key, chunk))]
