@@ -185,8 +185,11 @@ def test_renderers_reject_numpy_scalars(render):
         render({"model": "s1", "r": np.float64(2.0)})
 
 
-def test_sweep_text_rejects_numpy_scalars_in_rows():
-    row = (0.3, np.float64(0.7), 1.1, "skipped", "outside")
+@pytest.mark.parametrize("row", [
+    (0.3, np.float64(0.7), 1.1, "skipped", "outside"),
+    (0.3, 0.7, 1.1, "PASS", "", "F1+F11", False, *[0.0] * 23, np.float64(2.0)),
+])
+def test_sweep_text_rejects_numpy_scalars_in_rows(row):
     with pytest.raises(TypeError, match="float64"):
         SweepText("csv", "s1", 1.0).rows([row])
 
