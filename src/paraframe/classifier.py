@@ -25,6 +25,9 @@ from .tensors import DIM, as_tensor, gather, gather_table, max_abs
 #: Classes that can be nonzero in dimension 3; F2, F3, F6, F7 vanish identically.
 ADMISSIBLE_CLASSES = (1, 4, 5, 8, 9, 10, 11)
 
+#: The scalar parameters of the class components, in their report order.
+PARAMS = ("theta_0", "theta_1", "theta_2", "theta_star_0", "omega_1", "omega_2", "lam", "mu", "nu")
+
 
 @dataclass(frozen=True, eq=False)
 class LeeForms:
@@ -46,10 +49,9 @@ class LeeForms:
 class FDecomposition:
     """Class components of F with the scalar parameters that build them.
 
-    components[s] is the tensor of class s; params holds theta_0, theta_1,
-    theta_2, theta_star_0, omega_1, omega_2, lam, mu, nu; residual is the
-    max-norm of F minus the sum of all components.  For a batch, every
-    entry carries the batch's leading axes.
+    components[s] is the tensor of class s; params holds the PARAMS, in
+    order; residual is the max-norm of F minus the sum of all components.
+    For a batch, every entry carries the batch's leading axes.
     """
 
     components: dict[int, np.ndarray]

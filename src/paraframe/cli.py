@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import math
 import os
 import sys
@@ -258,7 +257,10 @@ def cmd_sweep(cfg: RunConfig) -> int:
     text = SweepText(cfg.fmt, cfg.model, cfg.r)
     write = sys.stdout.write
     write(text.head)
-    for rows in sweep_rows(cfg.model, cfg.r, itertools.product(*cfg.grid), cfg.tol):
+    # row-major, without the tuple of every axis's values itertools.product keeps
+    u0, u1, u2 = cfg.grid
+    grid = ((x, y, z) for x in u0 for y in u1 for z in u2)
+    for rows in sweep_rows(cfg.model, cfg.r, grid, cfg.tol):
         write(text.rows(rows))
     write(text.tail())
     skipped, failed = text.counts["skipped"], text.counts["FAIL"]

@@ -2,8 +2,8 @@
 
 `MODELS` is the one record per model; no other code branches on a model.  A
 `ModelSpec` holds the ambient signature, the sphere sign (so kappa), the
-coordinate jets, the domain check, the sampler, the closed form of
-`reference` with the coordinate of u it reads, and the model's identities:
+coordinate jets, the domain check, the sampler, the batched closed form of
+`reference`, and the model's identities:
 
   s1  the sphere <z, z> = r^2 in Euclidean 4-space, parameters (u0, u1, u2),
       all in [0, 2pi) with u1 away from multiples of pi/2;
@@ -177,19 +177,18 @@ class ModelSpec:
     coords: Callable[[float | np.ndarray, Sequence[TJet]], list[TJet]]  # r per point
     validate: Callable[[np.ndarray], None]
     sample: Callable[[np.random.Generator], np.ndarray]  # SAMPLE_MARGIN inside the domain
-    closed_form: Callable[[float, float], ModelReference]  # of r and u[reference_coord]
-    reference_coord: int
+    closed_form: Callable[[float | np.ndarray, np.ndarray], ModelReference]  # r (...), u (..., 3)
     identities: Callable[[PointAnalysis], dict[str, np.ndarray]]  # residuals per point
 
-    def kappa(self, r: float) -> float:
-        """Constant sectional curvature of the model."""
+    def kappa(self, r: float | np.ndarray) -> float | np.ndarray:
+        """Constant sectional curvature of the model, per radius."""
         return self.sphere_sign / (r * r)
 
 
 MODELS = {
-    "s1": ModelSpec(EUCLIDEAN, 1, _s1_coords, _validate_s1, _sample_s1, s1_reference, 1,
+    "s1": ModelSpec(EUCLIDEAN, 1, _s1_coords, _validate_s1, _sample_s1, s1_reference,
                     s1_identities),
-    "s2": ModelSpec(LORENTZIAN, -1, _s2_coords, _validate_s2, _sample_s2, s2_reference, 0,
+    "s2": ModelSpec(LORENTZIAN, -1, _s2_coords, _validate_s2, _sample_s2, s2_reference,
                     s2_identities),
 }
 
@@ -238,17 +237,22 @@ def evaluate_immersion(
     return Jet3(TJet.stack([TJet._coerce(x) for x in coords(seeds)]))
 
 
+def point_arrays(
+    p: ModelPoint | Sequence[ModelPoint],
+) -> tuple[ModelSpec, float | np.ndarray, np.ndarray]:
+    """The model record, r and u of p, or of a list of points of one model
+    with r and u stacked on a leading point axis."""
+    if isinstance(p, ModelPoint):
+        return p.spec, p.r, p.u
+    if len({q.model for q in p}) != 1:
+        raise ValueError("a batch of points must share one model")
+    return p[0].spec, np.array([q.r for q in p]), np.array([q.u for q in p])
+
+
 def immerse(p: ModelPoint | Sequence[ModelPoint]) -> Jet3:
     """Full 3-jet of the model immersion at p, or at each point of a list of
     points of one model (a leading point axis)."""
-    if isinstance(p, ModelPoint):
-        spec, r, u = p.spec, p.r, p.u
-    else:
-        if len({q.model for q in p}) != 1:
-            raise ValueError("a batch of points must share one model")
-        spec = p[0].spec
-        r = np.array([q.r for q in p])
-        u = np.array([q.u for q in p])
+    spec, r, u = point_arrays(p)
     return evaluate_immersion(lambda v: spec.coords(r, v), u)
 
 

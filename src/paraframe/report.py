@@ -11,15 +11,15 @@ streamed a chunk at a time by `SweepText` under the same rules and bytes.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, fields
-from typing import Iterable, Iterator, Sequence
+from dataclasses import dataclass, fields, is_dataclass
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from . import classifier, frame, nijenhuis, tensors
 from .hypersurface import MODELS, ModelPoint, bracket_field, immerse, orthonormal_frame
 from .hypersurface import sample_points, sphere_residual
-from .reference import ModelReference, model_reference, reference_key
+from .reference import ModelReference, model_reference
 from .structure import PHI, metric_compat
 from .tensors import DIM, max_abs
 
@@ -38,8 +38,9 @@ class PointAnalysis:
     and the closed-form targets they are checked against.
 
     `_analyze_field` builds one for a whole chunk of points: then every
-    array, scalar and residual carries a leading point axis, and `label`,
-    `reference` and `status` are lists with one entry per point.
+    array, scalar and residual carries a leading point axis, as does the one
+    `reference` of the chunk, and `label` and `status` are lists with one
+    entry per point.
     """
 
     field: frame.StructureField
@@ -92,13 +93,12 @@ def analyze_points(points: Sequence[ModelPoint], tol: float) -> list[PointAnalys
     """Run the full pipeline at each point and collect tensors and residuals.
 
     The whole pipeline, from the jet stages (immerse, orthonormal_frame,
-    bracket_field) to the residuals, runs once per chunk of points (see
-    `_chunked`), each point a row of the batched arrays; only the sphere
-    residual and kappa are evaluated point by point, and the closed-form
-    reference once per distinct `reference_key` of a chunk.
-    Every result is bitwise the result for that point alone.  If a chunk
-    raises, it is run again one point at a time, so the error raised is the
-    first failing point's own.
+    bracket_field) and the closed-form reference to the residuals, runs once
+    per chunk of points (see `_chunked`), each point a row of the batched
+    arrays; only the sphere residual is evaluated point by point.  Every
+    result is bitwise the result for that point alone.  If a chunk raises,
+    its halves are run again, down to single points, so the error raised is
+    the first failing point's own.
     """
     return [
         _point(b, n)
@@ -121,34 +121,33 @@ _SECTIONAL_KEYS = ("k_01", "k_02", "k_12")
 
 def _batches(chunk: list[ModelPoint], tol: float) -> list[PointAnalysis | Exception]:
     """The batched analysis of one chunk: the jet front (immerse,
-    orthonormal_frame, bracket_field) and its residuals, then `_analyze_field`;
-    if the chunk raises, one batch per point instead, and a point that raises
-    on its own is its error, in its place."""
+    orthonormal_frame, bracket_field), the closed form and their residuals,
+    then `_analyze_field`; if the chunk raises, the batches of its two halves
+    instead, and a point that raises on its own is its error, in its place."""
     try:
+        spec = chunk[0].spec
         jet = immerse(chunk)
-        fc = orthonormal_frame(jet, chunk[0].spec.signature)
+        fc = orthonormal_frame(jet, spec.signature)
         sf = bracket_field(fc)
-        # one closed form per distinct reference_key, shared by its points
-        keys = [reference_key(p) for p in chunk]
-        shared = {key: model_reference(p) for key, p in dict(zip(keys, chunk)).items()}
-        refs = [shared[key] for key in keys]
+        ref = model_reference(chunk)
         # the one axiom that reads the metric, against the frame's true Gram matrix
         gram = fc.a @ fc.metric @ np.swapaxes(fc.a, -1, -2)
         residuals = {
             "on_sphere": np.array([sphere_residual(p, z) for p, z in zip(chunk, jet.value)]),
             "frame_gram": max_abs(gram - np.eye(DIM), 2),
             "structure_axioms": metric_compat(gram),
-            "bracket_vs_closed_form": max_abs(sf.c - np.stack([ref.c for ref in refs]), 3),
-            "bracket_deriv_vs_closed_form": max_abs(sf.dc - np.stack([ref.dc for ref in refs]), 4),
+            "bracket_vs_closed_form": max_abs(sf.c - ref.c, 3),
+            "bracket_deriv_vs_closed_form": max_abs(sf.dc - ref.dc, 4),
         }
-        kappa = np.array([p.spec.kappa(p.r) for p in chunk])
-        batch = _analyze_field(sf, kappa, refs, residuals, tol)
+        kappa = spec.kappa(np.array([p.r for p in chunk]))
+        batch = _analyze_field(sf, kappa, ref, residuals, tol)
     except (ValueError, ArithmeticError, RuntimeWarning) as exc:
         # RuntimeWarning is raised only where warnings are errors; a batched
         # stage meets one point's overflow before another point's error
         if len(chunk) == 1:
             return [exc]
-        return [b for p in chunk for b in _batches([p], tol)]
+        half = len(chunk) // 2
+        return _batches(chunk[:half], tol) + _batches(chunk[half:], tol)
     return [batch]
 
 
@@ -161,10 +160,10 @@ def _analysed(chunk: list[ModelPoint], tol: float) -> list[PointAnalysis]:
     return batches
 
 
-def _analyze_field(sf: frame.StructureField, kappa: np.ndarray, refs: list[ModelReference],
+def _analyze_field(sf: frame.StructureField, kappa: np.ndarray, ref: ModelReference,
                    residuals: dict[str, np.ndarray], tol: float) -> PointAnalysis:
-    """The algebraic tail of `_batches` on a batched StructureField; `refs`
-    are stored as given, and the front's `residuals` come first."""
+    """The algebraic tail of `_batches` on a batched StructureField; `ref` is
+    stored as given, and the front's `residuals` come first."""
     conn = frame.koszul(sf)
 
     f = classifier.fundamental_tensor(conn)
@@ -218,7 +217,7 @@ def _analyze_field(sf: frame.StructureField, kappa: np.ndarray, refs: list[Model
         kappa=kappa,
         d_eta=frame.d_eta(conn),
         nabla_xi_xi=frame.nabla_xi_xi(conn),
-        reference=refs,
+        reference=ref,
         residuals=residuals,
         status=[
             "PASS" if worst <= tol else "FAIL"
@@ -229,17 +228,20 @@ def _analyze_field(sf: frame.StructureField, kappa: np.ndarray, refs: list[Model
 
 def _point(b, n: int):
     """Point n of a batched value: an array drops its point axis (a 1-D one
-    gives a Python float), a list gives entry n, and dicts, tuples and
-    dataclasses are rebuilt from their members' point n."""
+    gives a Python float), a list gives entry n, mappings, tuples and
+    dataclasses are rebuilt from their members' point n, and any other value
+    (a reference's class number) is every point's own."""
     if isinstance(b, np.ndarray):
         return float(b[n]) if b.ndim == 1 else b[n]
     if isinstance(b, list):
         return b[n]
-    if isinstance(b, dict):
+    if isinstance(b, Mapping):
         return {key: _point(v, n) for key, v in b.items()}
     if isinstance(b, tuple):
         return tuple(_point(v, n) for v in b)
-    return type(b)(**{f.name: _point(getattr(b, f.name), n) for f in fields(b)})
+    if is_dataclass(b):
+        return type(b)(**{f.name: _point(getattr(b, f.name), n) for f in fields(b)})
+    return b
 
 
 def _entries(name: str, t: np.ndarray) -> dict[str, float]:
@@ -298,49 +300,37 @@ def curvature_report(p: ModelPoint, tol: float) -> dict:
 def _checks(model: str, a: PointAnalysis, tol: float) -> dict[str, float]:
     """Every identity residual of a batched analysis, closed-form targets
     included, each maximised over the batch's points."""
-    refs = a.reference
-    ref = {
-        name: np.array([getattr(r, name) for r in refs])
-        for name in ("gamma", "f", "nijenhuis", "assoc_nijenhuis", "curvature", "ricci",
-                     "ricci_star", "tau", "tau_star", "sectional", "d_eta", "nabla_xi_xi")
-    }
+    ref = a.reference
     params = a.decomposition.params
     components = a.decomposition.components
     checks = dict(a.residuals)
     checks.update(
         {
-            "gamma_vs_closed_form": max_abs(a.connection.gamma - ref["gamma"], 3),
-            "f_vs_closed_form": max_abs(a.f - ref["f"], 3),
-            "nijenhuis_vs_closed_form": max_abs(a.nijenhuis - ref["nijenhuis"], 3),
-            "assoc_nijenhuis_vs_closed_form": max_abs(
-                a.assoc_nijenhuis - ref["assoc_nijenhuis"], 3
-            ),
-            "curvature_vs_closed_form": max_abs(a.curvature - ref["curvature"], 4),
-            "ricci_vs_closed_form": max_abs(a.ricci - ref["ricci"], 2),
-            "ricci_star_vs_closed_form": max_abs(a.ricci_star - ref["ricci_star"], 2),
-            "tau_vs_closed_form": np.abs(a.tau - ref["tau"]),
-            "tau_star_vs_closed_form": np.abs(a.tau_star - ref["tau_star"]),
+            "gamma_vs_closed_form": max_abs(a.connection.gamma - ref.gamma, 3),
+            "f_vs_closed_form": max_abs(a.f - ref.f, 3),
+            "nijenhuis_vs_closed_form": max_abs(a.nijenhuis - ref.nijenhuis, 3),
+            "assoc_nijenhuis_vs_closed_form": max_abs(a.assoc_nijenhuis - ref.assoc_nijenhuis, 3),
+            "curvature_vs_closed_form": max_abs(a.curvature - ref.curvature, 4),
+            "ricci_vs_closed_form": max_abs(a.ricci - ref.ricci, 2),
+            "ricci_star_vs_closed_form": max_abs(a.ricci_star - ref.ricci_star, 2),
+            "tau_vs_closed_form": np.abs(a.tau - ref.tau),
+            "tau_star_vs_closed_form": np.abs(a.tau_star - ref.tau_star),
             "sectional_vs_closed_form": max_abs(
-                np.stack(a.k, axis=-1) - ref["sectional"][:, None], 1
+                np.stack(a.k, axis=-1) - ref.sectional[:, None], 1
             ),
             "lee_params_vs_closed_form": max_abs(
-                np.stack(
-                    [params[key] - [r.lee_params[key] for r in refs] for key in refs[0].lee_params],
-                    axis=-1,
-                ),
-                1,
+                np.stack([params[key] - val for key, val in ref.lee_params.items()], axis=-1), 1
             ),
             "class_label": np.array(
-                [0.0 if label.classes == r.classes else 1.0 for label, r in zip(a.label, refs)]
+                [0.0 if label.classes == ref.classes else 1.0 for label in a.label]
             ),
-            # the points of a chunk share one model, so one class list
             "class_components_nonvanishing": np.where(
-                np.all([max_abs(components[sid], 3) > tol for sid in refs[0].classes], axis=0),
+                np.all([max_abs(components[sid], 3) > tol for sid in ref.classes], axis=0),
                 0.0,
                 1.0,
             ),
-            "d_eta_vs_closed_form": max_abs(a.d_eta - ref["d_eta"], 2),
-            "nabla_xi_xi_vs_closed_form": max_abs(a.nabla_xi_xi - ref["nabla_xi_xi"], 1),
+            "d_eta_vs_closed_form": max_abs(a.d_eta - ref.d_eta, 2),
+            "nabla_xi_xi_vs_closed_form": max_abs(a.nabla_xi_xi - ref.nabla_xi_xi, 1),
         }
     )
     checks.update(MODELS[model].identities(a))
@@ -490,15 +480,11 @@ _SWEEP_ENTRIES = (
     ("rho_star_12", "ricci_star", (1, 2)),
 )
 
-#: The class parameters of a sweep row, read off the decomposition.
-_SWEEP_PARAMS = ("theta_0", "theta_1", "theta_2", "theta_star_0", "omega_1", "omega_2",
-                 "lam", "mu", "nu")
-
 #: The columns of a sweep row: the sweep's model and r, the grid point, then
 #: `_batch_columns`' fields.
 SWEEP_COLUMNS = [
     "model", "r", "u0", "u1", "u2", "status", "warning", "classes", "is_f0", "class_residual",
-    *_SWEEP_PARAMS, "tau", "tau_star", *_SECTIONAL_KEYS, "space_form_residual",
+    *classifier.PARAMS, "tau", "tau_star", *_SECTIONAL_KEYS, "space_form_residual",
     *(key for key, _, _ in _SWEEP_ENTRIES), "max_residual",
 ]
 
@@ -557,7 +543,7 @@ def _batch_columns(b: PointAnalysis) -> list[list]:
         ["+".join(_class_names(label)) for label in b.label],
         [label.is_f0 for label in b.label],
         res["class_decomposition"].tolist(),
-        *(b.decomposition.params[key].tolist() for key in _SWEEP_PARAMS),
+        *(b.decomposition.params[key].tolist() for key in classifier.PARAMS),
         b.tau.tolist(),
         b.tau_star.tolist(),
         *(kab.tolist() for kab in b.k),

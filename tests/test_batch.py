@@ -18,6 +18,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from paraframe import report
 from paraframe.hypersurface import EXCLUSION, TWO_PI, DomainError, ModelPoint, sample_points
 from paraframe.report import (
     CHUNK,
@@ -311,3 +312,16 @@ def test_full_chunk_memory_peak(model):
         if not tracing:
             tracemalloc.stop()
     assert peak - before <= PEAK_BOUND
+
+
+def test_a_failing_point_bisects_its_chunk():
+    # a chunk that raises is run again as two halves, so the one failing point
+    # of 64 costs 2 log2(64) + 1 = 13 front calls, not 1 + 64; its row is
+    # still FAIL with its own error, and every other row is analysed
+    grid = [tuple(p.u) for p in sample_points("s2", CHUNK - 1, seed=6)]
+    grid.insert(40, (0.5, 1.0, 400.0))
+    with mock.patch("paraframe.report.immerse", wraps=report.immerse) as immerse:
+        rows = [row for chunk in sweep_rows("s2", 1.0, grid, TOL) for row in chunk]
+    assert [row[3] for row in rows] == ["PASS"] * 40 + ["FAIL"] + ["PASS"] * (CHUNK - 41)
+    assert rows[40][4] == "Eigenvalues did not converge"
+    assert immerse.call_count <= 2 * int(math.log2(CHUNK)) + 1

@@ -1,14 +1,18 @@
 """Every record of `hypersurface.MODELS` is a whole model: its sampler is
-seeded, `verify` passes on it at small and large radii, and `reference_key`
-reads the coordinate of u the record names.  A new record is tested here
-without editing this file.
+seeded, `verify` passes on it at small and large radii, and its closed form
+of a chunk is, row by row, its closed form at each point.  A new record is
+tested here without editing this file.
 """
+
+import itertools
+import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from paraframe.hypersurface import MODELS, sample_points
-from paraframe.reference import reference_key
+from paraframe.hypersurface import MODELS, DomainError, ModelPoint, sample_points
+from paraframe.reference import model_reference
 from paraframe.report import run_verify
 
 
@@ -26,11 +30,50 @@ def test_verify_passes(model, r):
     assert report["status"] == "PASS", report["failed"]
 
 
+#: Parameter values within 1e-4 of 0 and of each multiple of pi/2, where the
+#: built-in models' exclusions lie and their tangents and hyperbolic
+#: functions are largest.
+NEAR_EXCLUSIONS = [k * math.pi / 2 + s * d for k in range(5) for s in (-1, 1)
+                   for d in (1e-4, 3e-6)]
+
+
+def _near_exclusions(model: str, sampled: list[ModelPoint]) -> list[ModelPoint]:
+    """The sampled points with one coordinate moved to a value of
+    NEAR_EXCLUSIONS, each such point the model's domain accepts."""
+    points = []
+    for p, i, x in itertools.product(sampled, range(3), NEAR_EXCLUSIONS):
+        u = p.u.copy()
+        u[i] = x
+        try:
+            points.append(ModelPoint(model=model, r=p.r, u=u))
+        except DomainError:
+            continue
+    return points
+
+
+def _bits(x) -> np.ndarray:
+    return np.ascontiguousarray(x, dtype=float).view(np.int64)
+
+
 @pytest.mark.parametrize("model", sorted(MODELS))
-def test_reference_key_reads_the_record_coordinate(model):
-    index = MODELS[model].reference_coord
-    for p in sample_points(model, 8, 5, r=2.0):
-        assert reference_key(p) == (model, p.r, p.u[index])
+@pytest.mark.parametrize("r", [1e-3, 1.0, 1e4])
+def test_closed_form_of_a_chunk_is_its_points_own(model, r):
+    sampled = sample_points(model, 4, 11, r=r)
+    points = sampled + _near_exclusions(model, sampled)
+    assert len(points) > len(sampled)
+    chunk = model_reference(points)
+    for n, p in enumerate(points):
+        own = model_reference(p)
+        for f in fields(own):
+            got, want = getattr(chunk, f.name), getattr(own, f.name)
+            if f.name == "classes":
+                assert got == want
+            elif f.name == "lee_params":
+                assert list(got) == list(want)
+                for key in want:
+                    assert _bits(got[key][n]) == _bits(want[key]), (f.name, key, p.u)
+            else:
+                assert np.array_equal(_bits(got[n]), _bits(want)), (f.name, p.u)
 
 
 @pytest.mark.parametrize("n", [1, 0])

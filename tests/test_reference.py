@@ -1,6 +1,6 @@
-"""One closed-form reference per distinct (model, r, u1) of a chunk: the
-points that share a `reference_key` share one read-only ModelReference, and
-every point's reference is bitwise `model_reference` at that point.
+"""One closed-form reference per chunk: `_batches` calls `model_reference`
+once on the chunk's points, and every point's reference, read off the
+chunk's, is bitwise and read-only `model_reference` at that point.
 """
 
 import itertools
@@ -11,14 +11,14 @@ import pytest
 
 from paraframe import report
 from paraframe.hypersurface import DomainError, ModelPoint
-from paraframe.reference import model_reference, reference_key
+from paraframe.reference import model_reference
 from paraframe.report import CHUNK, SWEEP_COLUMNS, analyze_points, sweep_rows
 
 TOL = 1e-9
 
-#: Grids of 6 x 5 x 3 = 90 rows that cross the CHUNK = 64 boundary: the
-#: closed form reads the 6-value axis (u[1] on s1, u[0] on s2), and one of
-#: its values lies on an exclusion, so 75 rows are in the domain.
+#: Grids of 6 x 5 x 3 = 90 rows that cross the CHUNK = 64 boundary: one
+#: value of the 6-value axis lies on an exclusion, so 75 rows are in the
+#: domain.
 GRIDS = {
     "s1": ([0.1, 0.8, 2.0, 3.3, 5.5], [0.3, 0.7, 1.1, np.pi / 2, 2.5, 4.0], [0.2, 1.0, 3.0]),
     "s2": ([-1.2, -0.4, 0.0, 0.3, 0.9, 1.7], [0.1, 0.8, 2.0, 3.3, 5.5], [-0.5, 0.2, 1.0]),
@@ -44,31 +44,28 @@ def _bits(x) -> np.ndarray:
 
 
 @pytest.mark.parametrize("model", sorted(GRIDS))
-def test_one_model_reference_call_per_key_and_chunk(model, monkeypatch):
+def test_one_model_reference_call_per_chunk(model, monkeypatch):
     points = _in_domain(model, 2.0)
     assert len(points) > CHUNK and len(points) % CHUNK
     calls = []
 
-    def counted(p):
-        calls.append(reference_key(p))
-        return model_reference(p)
+    def counted(chunk):
+        calls.append([p.u.tolist() for p in chunk])
+        return model_reference(chunk)
 
     monkeypatch.setattr(report, "model_reference", counted)
     rows = [dict(zip(SWEEP_COLUMNS[2:], row)) for chunk in sweep_rows(model, 2.0, _grid(model), TOL)
             for row in chunk]
     assert sum(row["status"] == "PASS" for row in rows) == len(points)
-    chunks = [points[n : n + CHUNK] for n in range(0, len(points), CHUNK)]
-    expected = [key for chunk in chunks for key in dict.fromkeys(map(reference_key, chunk))]
-    assert calls == expected
-    assert len(chunks) == 2 and len(calls) <= 5 + 5  # 5 in-domain u1 values
+    assert calls == [[p.u.tolist() for p in points[n : n + CHUNK]]
+                     for n in range(0, len(points), CHUNK)]
 
 
 @pytest.mark.parametrize("model", sorted(GRIDS))
 def test_shared_references_are_each_points_own_and_read_only(model):
     points = _in_domain(model, 2.0)
     analyses = analyze_points(points, TOL)
-    by_key = {}
-    for n, (p, a) in enumerate(zip(points, analyses)):
+    for p, a in zip(points, analyses):
         own = model_reference(p)
         for f in fields(own):
             got, want = getattr(a.reference, f.name), getattr(own, f.name)
@@ -84,4 +81,3 @@ def test_shared_references_are_each_points_own_and_read_only(model):
             if isinstance(got, np.ndarray):
                 with pytest.raises(ValueError, match="read-only"):
                     got[...] = 0.0
-        assert a.reference is by_key.setdefault((n // CHUNK, reference_key(p)), a.reference)
