@@ -66,6 +66,17 @@ FAIL_GRID = "0.5,0.7,1:800:3"
 #: s1 grid of 12 x 3 x 3 rows; the middle u1 column (u1 = pi/2) is skipped.
 WIDE_GRID = "0.1:6.0:12,1.0:2.141592653589793:3,0.2:5.0:3"
 
+#: Grids whose skipped rows carry every rejection message of their model: on
+#: s1, u0 >= 2pi, a negative u2 and u1 on 0, pi/2 and pi (4 of 20 rows are
+#: analysed); on s2, u1 = 0 and u2 below 0 and at or above 2pi (2 of 9); and
+#: a nan or an inf in a grid point.
+REJECT_GRIDS = {
+    "s1_reject": ("s1", "6.0:6.5:2,0:3.141592653589793:5,-0.5:1.1:2"),
+    "s2_reject": ("s2", "-0.5:0.5:3,-1:7:3,0.3"),
+    "s1_nan": ("s1", "nan,0.7,1.1:1.2:2"),
+    "s2_inf": ("s2", "0.5,0.7:0.9:2,inf"),
+}
+
 POINTS = {"s1": ("1", "0.3,0.7,1.1"), "s2": ("2", "0.6,1.0,0.5")}
 
 
@@ -121,6 +132,11 @@ def _cases() -> dict[str, list[str]]:
     cases["sweep_s1_wide_csv"] = [
         "sweep", "--model", "s1", "--r", "1", f"--grid={WIDE_GRID}", "--format", "csv",
     ]
+    for name, (model, grid) in REJECT_GRIDS.items():
+        for fmt in ("csv", "json"):
+            cases[f"sweep_{name}_{fmt}"] = [
+                "sweep", "--model", model, f"--grid={grid}", "--format", fmt,
+            ]
     # across the CHUNK = 64 boundary: 70 samples (chunks of 64 and 6) on
     # either model
     cases["verify_s1_split_json"] = [
