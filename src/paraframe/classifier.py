@@ -193,7 +193,8 @@ def classify(d: FDecomposition, tol) -> ClassLabel | list[ClassLabel]:
     """Detected class set: every class whose component exceeds tol.
 
     For a batch (one leading axis, tol one value per point or one for all),
-    a list with one label per point.
+    a list with one label per point; the points of one class pattern share
+    one label.
     """
     if np.any(d.residual > tol):
         raise ValueError(
@@ -201,12 +202,14 @@ def classify(d: FDecomposition, tol) -> ClassLabel | list[ClassLabel]:
         )
     sizes = max_abs(np.stack([d.components[s] for s in ADMISSIBLE_CLASSES], axis=-4), 3)
     present = sizes > np.asarray(tol)[..., None]
-    labels = [
-        ClassLabel(
-            classes=tuple(s for s, on in zip(ADMISSIBLE_CLASSES, row) if on), is_f0=not row.any()
+    rows = [tuple(row) for row in present.reshape(-1, len(ADMISSIBLE_CLASSES)).tolist()]
+    made = {
+        row: ClassLabel(
+            classes=tuple(s for s, on in zip(ADMISSIBLE_CLASSES, row) if on), is_f0=not any(row)
         )
-        for row in present.reshape(-1, len(ADMISSIBLE_CLASSES))
-    ]
+        for row in dict.fromkeys(rows)
+    }
+    labels = [made[row] for row in rows]
     return labels if present.ndim > 1 else labels[0]
 
 

@@ -27,8 +27,9 @@ from typing import TYPE_CHECKING, Callable, Sequence
 import numpy as np
 
 from .frame import StructureField
-from .jets import ORDER, TJet, _cut, partials, scatter_add
-from .reference import ModelReference, s1_identities, s1_reference, s2_identities, s2_reference
+from .jets import ORDER, TJet, _cut, _elementwise, partials, scatter_add
+from .reference import ModelReference, _square, s1_identities, s1_reference, s2_identities
+from .reference import s2_reference
 from .tensors import DIM
 
 if TYPE_CHECKING:  # report imports this module
@@ -137,7 +138,7 @@ def _s2_coords(r: float | np.ndarray, v: Sequence[TJet]) -> list[TJet]:
     return [rsh1 * trig[1], rsh1 * trig[0], rch1 * hyp[0, 1], rch1 * hyp[1, 1]]
 
 
-def _validate_s1(u: np.ndarray) -> None:
+def _validate_s1(u: Sequence[float]) -> None:
     for i, ui in enumerate(u):
         if not 0.0 <= ui < TWO_PI:
             raise DomainError(f"s1 parameter u{i} = {ui} outside [0, 2*pi)")
@@ -149,7 +150,7 @@ def _validate_s1(u: np.ndarray) -> None:
         )
 
 
-def _validate_s2(u: np.ndarray) -> None:
+def _validate_s2(u: Sequence[float]) -> None:
     if abs(u[0]) < EXCLUSION:
         raise DomainError(f"s2 parameter u1 = {u[0]} within {EXCLUSION} of 0")
     if not 0.0 <= u[1] < TWO_PI:
@@ -175,7 +176,7 @@ class ModelSpec:
     signature: AmbientSignature
     sphere_sign: int  # <z, z> = sphere_sign * r^2
     coords: Callable[[float | np.ndarray, Sequence[TJet]], list[TJet]]  # r per point
-    validate: Callable[[np.ndarray], None]
+    validate: Callable[[Sequence[float]], None]  # u: an array or 3 Python floats
     sample: Callable[[np.random.Generator], np.ndarray]  # SAMPLE_MARGIN inside the domain
     closed_form: Callable[[float | np.ndarray, np.ndarray], ModelReference]  # r (...), u (..., 3)
     identities: Callable[[PointAnalysis], dict[str, np.ndarray]]  # residuals per point
@@ -218,6 +219,47 @@ class ModelPoint:
         return MODELS[self.model]
 
 
+@dataclass(frozen=True, eq=False)
+class PointBatch:
+    """Points of one model as arrays: radii r (n,) and parameters u (n, 3),
+    read-only copies.  The batched stages (`immerse`, `model_reference` and
+    the report's chunk analysis) take a chunk of points in this form; its
+    points are taken to be in the domain, as `ModelPoint` or the model's
+    `validate` checks them.  A slice is the batch of those points.
+    """
+
+    model: str
+    r: np.ndarray
+    u: np.ndarray
+
+    def __post_init__(self):
+        if self.model not in MODELS:
+            raise ValueError(f"unknown model {self.model!r}; choose from {sorted(MODELS)}")
+        r, u = np.array(self.r, dtype=float), np.array(self.u, dtype=float)
+        if r.ndim != 1 or u.shape != r.shape + (3,):
+            raise ValueError(f"a batch needs r (n,) and u (n, 3), got {r.shape} and {u.shape}")
+        for name, a in (("r", r), ("u", u)):
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
+
+    @classmethod
+    def of(cls, points: Sequence[ModelPoint]) -> PointBatch:
+        """The batch of a list of points of one model, in order."""
+        if len({p.model for p in points}) != 1:
+            raise ValueError("a batch of points must share one model")
+        return cls(points[0].model, [p.r for p in points], [p.u for p in points])
+
+    @property
+    def spec(self) -> ModelSpec:
+        return MODELS[self.model]
+
+    def __len__(self) -> int:
+        return len(self.r)
+
+    def __getitem__(self, part: slice) -> PointBatch:
+        return PointBatch(self.model, self.r[part], self.u[part])
+
+
 # ---------------------------------------------------------------------------
 # jet evaluation
 # ---------------------------------------------------------------------------
@@ -237,29 +279,23 @@ def evaluate_immersion(
     return Jet3(TJet.stack([TJet._coerce(x) for x in coords(seeds)]))
 
 
-def point_arrays(
-    p: ModelPoint | Sequence[ModelPoint],
-) -> tuple[ModelSpec, float | np.ndarray, np.ndarray]:
-    """The model record, r and u of p, or of a list of points of one model
-    with r and u stacked on a leading point axis."""
-    if isinstance(p, ModelPoint):
-        return p.spec, p.r, p.u
-    if len({q.model for q in p}) != 1:
-        raise ValueError("a batch of points must share one model")
-    return p[0].spec, np.array([q.r for q in p]), np.array([q.u for q in p])
+def immerse(p: ModelPoint | PointBatch) -> Jet3:
+    """Full 3-jet of the model immersion at p, or at each point of a batch
+    (a leading point axis)."""
+    return evaluate_immersion(lambda v: p.spec.coords(p.r, v), p.u)
 
 
-def immerse(p: ModelPoint | Sequence[ModelPoint]) -> Jet3:
-    """Full 3-jet of the model immersion at p, or at each point of a list of
-    points of one model (a leading point axis)."""
-    spec, r, u = point_arrays(p)
-    return evaluate_immersion(lambda v: spec.coords(r, v), u)
+def sphere_residual(p: ModelPoint | PointBatch, z: np.ndarray) -> float | np.ndarray:
+    """|<z, z> - sign * r^2| for the ambient position z (jet.value) of p, or
+    one per point of a batch.
 
-
-def sphere_residual(p: ModelPoint, z: np.ndarray) -> float:
-    """|<z, z> - sign * r^2| for the ambient position z (jet.value) of p."""
-    w = p.spec.signature.weights
-    return abs(float(np.dot(w * z, z)) - p.spec.sphere_sign * p.r**2)
+    <z, z> is one `np.vecdot` over the points, bitwise `np.dot` point by
+    point, and r^2 is Python's r**2 per element, as in the closed forms.
+    """
+    spec = p.spec
+    r2 = _elementwise(_square, np.asarray(p.r, dtype=float))
+    res = np.abs(np.vecdot(spec.signature.weights * z, z) - spec.sphere_sign * r2)
+    return float(res) if res.ndim == 0 else res
 
 
 def induced_metric(jet: Jet3, sig: AmbientSignature) -> np.ndarray:

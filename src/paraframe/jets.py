@@ -39,8 +39,9 @@ dropping the coefficients above a jet's degree changes no bit of any
 coefficient that is kept.  `sum` adds along axes in the same sequential
 order.
 
-Smooth functions compose through the powers h, h^2, h^3 of a jet's
-nilpotent part.  `sincos` and `sinhcosh` share those powers between the two
+Smooth functions compose through the powers h, ..., h^deg of a jet's
+nilpotent part, and `sqrt` and `reciprocal` take only the derivatives that
+degree reads.  `sincos` and `sinhcosh` share those powers between the two
 functions and return both, stacked on a new leading axis; `sin`, `cos`,
 `sinh` and `cosh` are their slices.  Values of sin, cos, sinh, cosh and
 integer powers are taken per element with Python's `math`, as for a single
@@ -345,18 +346,26 @@ class TJet:
     # ---------- composition with smooth functions ----------
 
     def _compose(self, d: list[np.ndarray]) -> "TJet":
-        """Taylor composition with f given its derivatives d[k] = f^(k)(value).
+        """Taylor composition with f given its derivatives d[k] = f^(k)(value),
+        for k up to the jet's degree at least.
 
-        Exact at ORDER = 3 because the nilpotent part h satisfies h^4 = 0.
-        The powers of h are formed once, so derivatives stacked on a new
-        leading axis (shape (F,) + self.shape) compose F functions at once.
+        Exact because the nilpotent part h satisfies h^(deg + 1) = 0 in the
+        truncated algebra, so only the powers h .. h^deg are formed.  For
+        finite jets this is bitwise the sum through h^ORDER: a higher power
+        would add only +-0, and adding +-0 changes no coefficient of
+        f(value) + h f'(value) that is not -0.0.  None is: each is a sum from
+        +0.0 but the value's, f(value) + 0 * f'(value), which is -0.0 only
+        if f(value) is -0.0 and f'(value) negative, as at no value of the
+        functions here.  The powers of h are formed once, so derivatives
+        stacked on a new leading axis (shape (F,) + self.shape) compose F
+        functions at once.
         """
         h = TJet(self.c.copy(), self.deg)
         h.c[..., 0] = 0.0
         out = TJet.constant(d[0]) + h * d[1]
         term = h
         fact = 1.0
-        for k in range(2, ORDER + 1):
+        for k in range(2, self.deg + 1):
             term = term * h
             fact *= k
             out = out + term * (d[k] / fact)
@@ -390,13 +399,21 @@ class TJet:
         if np.any(bad):
             raise ValueError(f"jet sqrt needs a positive value, got {float(v[bad][0])}")
         r = np.sqrt(v)  # correctly rounded, like math.sqrt
-        return self._compose([r, 0.5 / r, -0.25 / (r * v), 0.375 / (r * v * v)])
+        d = [r, 0.5 / r]  # the derivatives the jet's degree reads
+        if self.deg >= 2:
+            d.append(-0.25 / (r * v))
+        if self.deg >= 3:
+            d.append(0.375 / (r * v * v))
+        return self._compose(d)
 
     def reciprocal(self) -> "TJet":
         v = self.value
         if np.any(v == 0.0):
             raise ZeroDivisionError("jet reciprocal at zero value")
         iv = 1.0 / v
-        cube = _elementwise(lambda x: x**3, iv)
-        fourth = _elementwise(lambda x: x**4, iv)
-        return self._compose([iv, -iv * iv, 2.0 * cube, -6.0 * fourth])
+        d = [iv, -iv * iv]  # the derivatives the jet's degree reads
+        if self.deg >= 2:
+            d.append(2.0 * _elementwise(lambda x: x**3, iv))
+        if self.deg >= 3:
+            d.append(-6.0 * _elementwise(lambda x: x**4, iv))
+        return self._compose(d)

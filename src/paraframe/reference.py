@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from .structure import ETA
 from .tensors import DIM, max_abs
 
 if TYPE_CHECKING:  # hypersurface imports this module
-    from .hypersurface import ModelPoint
+    from .hypersurface import ModelPoint, PointBatch
     from .report import PointAnalysis
 
 
@@ -241,11 +241,7 @@ def s2_identities(a: PointAnalysis) -> dict[str, np.ndarray]:
     return {"d_eta_zero": max_abs(a.d_eta, 2), "nabla_xi_xi_zero": max_abs(a.nabla_xi_xi, 1)}
 
 
-def model_reference(p: ModelPoint | Sequence[ModelPoint]) -> ModelReference:
-    """Closed-form targets at p, or at each point of a list of points of one
-    model (a leading point axis), as `immerse` takes them; its arrays are
-    read-only."""
-    from .hypersurface import point_arrays  # hypersurface imports this module
-
-    spec, r, u = point_arrays(p)
-    return spec.closed_form(r, u)
+def model_reference(p: ModelPoint | PointBatch) -> ModelReference:
+    """Closed-form targets at p, or at each point of a batch (a leading point
+    axis), as `immerse` takes them; its arrays are read-only."""
+    return p.spec.closed_form(p.r, p.u)

@@ -11,14 +11,15 @@ streamed a chunk at a time by `SweepText` under the same rules and bytes.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, fields, is_dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from . import classifier, frame, nijenhuis, tensors
-from .hypersurface import MODELS, ModelPoint, bracket_field, immerse, orthonormal_frame
-from .hypersurface import sample_points, sphere_residual
+from .hypersurface import MODELS, ModelPoint, PointBatch, bracket_field, immerse
+from .hypersurface import orthonormal_frame, sample_points, sphere_residual
 from .reference import ModelReference, model_reference
 from .structure import PHI, metric_compat
 from .tensors import DIM, max_abs
@@ -65,28 +66,30 @@ class PointAnalysis:
     status: str
 
 
-#: Points per call of the pipeline.  On a 2-core VM (Python 3.11, numpy 2.4)
-#: a `_batches` call costs about 2.0 ms plus 0.085 ms per point, on s1 and s2
-#: alike (best of 30 rounds at 1-64 points of distinct u1, each with its own
-#: reference), so the fixed part is three quarters at 8 points, two fifths at
-#: 32 and a quarter at 64, where the 54 in-domain rows of a sweep-grid
-#: benchmark call are one chunk.  The stages' arrays grow with the chunk, but jet products
-#: over more than 256 cells run in blocks, so 64 points peak at 0.94 MB
-#: (tracemalloc; 1.49 MB unblocked), and the sweep-grid benchmark's peak RSS
-#: is 0.4% above that of chunks of 32 (BENCH_12.json).
+#: Points per call of the pipeline.  On a shared 2-core VM (Python 3.11,
+#: numpy 2.4) a `_batches` call costs about 2.5-3 ms plus 0.08 ms per point,
+#: on s1 and s2 alike (a line through the best of 100 rounds at 1, 8, 16, 32
+#: and 64 sampled points, three runs whose fixed part spread 2.3-3.4 ms with
+#: the host's speed), so the fixed part is four fifths at 8 points, half at
+#: 32 and two fifths at 64, where the 54 in-domain rows of a sweep-grid
+#: benchmark call are one chunk.  The stages' arrays grow with the chunk, but
+#: jet products over more than 256 cells run in blocks, so 64 points peak at
+#: 0.94 MB (tracemalloc; 1.49 MB unblocked), and the sweep-grid benchmark's
+#: peak RSS is 0.4% above that of chunks of 32 (BENCH_12.json).
 CHUNK = 64
 
 
-def _chunked(points: Sequence[ModelPoint]) -> Iterator[list[ModelPoint]]:
-    """Runs of at most CHUNK consecutive points of one model, in order."""
+def _chunked(points: Sequence[ModelPoint]) -> Iterator[PointBatch]:
+    """The batches of runs of at most CHUNK consecutive points of one model,
+    in order."""
     chunk: list[ModelPoint] = []
     for p in points:
         if chunk and (len(chunk) == CHUNK or p.model != chunk[0].model):
-            yield chunk
+            yield PointBatch.of(chunk)
             chunk = []
         chunk.append(p)
     if chunk:
-        yield chunk
+        yield PointBatch.of(chunk)
 
 
 def analyze_points(points: Sequence[ModelPoint], tol: float) -> list[PointAnalysis]:
@@ -95,10 +98,9 @@ def analyze_points(points: Sequence[ModelPoint], tol: float) -> list[PointAnalys
     The whole pipeline, from the jet stages (immerse, orthonormal_frame,
     bracket_field) and the closed-form reference to the residuals, runs once
     per chunk of points (see `_chunked`), each point a row of the batched
-    arrays; only the sphere residual is evaluated point by point.  Every
-    result is bitwise the result for that point alone.  If a chunk raises,
-    its halves are run again, down to single points, so the error raised is
-    the first failing point's own.
+    arrays.  Every result is bitwise the result for that point alone.  If a
+    chunk raises, its halves are run again, down to single points, so the
+    error raised is the first failing point's own.
     """
     return [
         _point(b, n)
@@ -113,47 +115,51 @@ def analyze_point(p: ModelPoint, tol: float) -> PointAnalysis:
     return analyze_points([p], tol)[0]
 
 
-#: The planes span{e_a, e_b} of the reported sectional curvatures k_ab, and
+#: The planes span{e_a, e_b} of the reported sectional curvatures k_ab: the
+#: gather of each R(e_a, e_b, e_b, e_a), each (g^g)(e_a, e_b, e_b, e_a), and
 #: their report keys.
 _PLANES = tuple((np.eye(DIM)[a], np.eye(DIM)[b]) for a, b in ((0, 1), (0, 2), (1, 2)))
+_SECTIONAL_TERMS = tensors.gather_table(
+    *(("...ijkl,i,j,k,l->...", None, x, y, y, x) for x, y in _PLANES)
+)
+_SECTIONAL_DENOMS = tuple(frame.plane_norm(x, y) for x, y in _PLANES)
 _SECTIONAL_KEYS = ("k_01", "k_02", "k_12")
 
 
-def _batches(chunk: list[ModelPoint], tol: float) -> list[PointAnalysis | Exception]:
+def _batches(batch: PointBatch, tol: float) -> list[PointAnalysis | Exception]:
     """The batched analysis of one chunk: the jet front (immerse,
     orthonormal_frame, bracket_field), the closed form and their residuals,
     then `_analyze_field`; if the chunk raises, the batches of its two halves
     instead, and a point that raises on its own is its error, in its place."""
     try:
-        spec = chunk[0].spec
-        jet = immerse(chunk)
+        spec = batch.spec
+        jet = immerse(batch)
         fc = orthonormal_frame(jet, spec.signature)
         sf = bracket_field(fc)
-        ref = model_reference(chunk)
+        ref = model_reference(batch)
         # the one axiom that reads the metric, against the frame's true Gram matrix
         gram = fc.a @ fc.metric @ np.swapaxes(fc.a, -1, -2)
         residuals = {
-            "on_sphere": np.array([sphere_residual(p, z) for p, z in zip(chunk, jet.value)]),
+            "on_sphere": sphere_residual(batch, jet.value),
             "frame_gram": max_abs(gram - np.eye(DIM), 2),
             "structure_axioms": metric_compat(gram),
             "bracket_vs_closed_form": max_abs(sf.c - ref.c, 3),
             "bracket_deriv_vs_closed_form": max_abs(sf.dc - ref.dc, 4),
         }
-        kappa = spec.kappa(np.array([p.r for p in chunk]))
-        batch = _analyze_field(sf, kappa, ref, residuals, tol)
+        analysis = _analyze_field(sf, spec.kappa(batch.r), ref, residuals, tol)
     except (ValueError, ArithmeticError, RuntimeWarning) as exc:
         # RuntimeWarning is raised only where warnings are errors; a batched
         # stage meets one point's overflow before another point's error
-        if len(chunk) == 1:
+        if len(batch) == 1:
             return [exc]
-        half = len(chunk) // 2
-        return _batches(chunk[:half], tol) + _batches(chunk[half:], tol)
-    return [batch]
+        half = len(batch) // 2
+        return _batches(batch[:half], tol) + _batches(batch[half:], tol)
+    return [analysis]
 
 
-def _analysed(chunk: list[ModelPoint], tol: float) -> list[PointAnalysis]:
+def _analysed(batch: PointBatch, tol: float) -> list[PointAnalysis]:
     """`_batches` of a chunk, raising the first failing point's error."""
-    batches = _batches(chunk, tol)
+    batches = _batches(batch, tol)
     for b in batches:
         if isinstance(b, Exception):
             raise b
@@ -213,7 +219,8 @@ def _analyze_field(sf: frame.StructureField, kappa: np.ndarray, ref: ModelRefere
         ricci_star=rho_star,
         tau=np.trace(rho, axis1=-2, axis2=-1),
         tau_star=np.trace(rho_star, axis1=-2, axis2=-1),
-        k=tuple(frame.sectional(r4, x, y) for x, y in _PLANES),
+        k=tuple(-2.0 * num / denom
+                for num, denom in zip(tensors.gather(r4, _SECTIONAL_TERMS, 4), _SECTIONAL_DENOMS)),
         kappa=kappa,
         d_eta=frame.d_eta(conn),
         nabla_xi_xi=frame.nabla_xi_xi(conn),
@@ -503,32 +510,46 @@ def sweep_rows(model: str, r: float, grid: Iterable, tol: float) -> Iterator[lis
     its chunk's batched analysis.  A point outside the domain is a `skipped`
     row and a point whose own analysis raises a `FAIL` row; both carry the
     error in `warning` and end there.  Only one chunk is held at a time.
+
+    A grid point is checked by the model's `validate` on Python floats and
+    enters its chunk's `PointBatch` as floats, with no ModelPoint of its
+    own.  Only a point that fails before `validate` (an unknown model, a
+    bad radius or a non-finite parameter) builds one, to raise its error, so
+    every `warning` is the text ModelPoint(model, r, u) raises.
     """
+    spec = MODELS.get(model)
+    every_point_fails = spec is None or not (np.isfinite(r) and r > 0.0)
     rows: list[tuple] = []
-    points: list[ModelPoint] = []
+    points: list[tuple] = []
     for u in grid:
         u = (float(u[0]), float(u[1]), float(u[2]))
         try:
-            points.append(ModelPoint(model=model, r=r, u=np.array(u)))
+            if every_point_fails or not all(map(math.isfinite, u)):
+                ModelPoint(model=model, r=r, u=np.array(u))  # raises the point's error
+            spec.validate(u)
         except ValueError as exc:
             rows.append((*u, "skipped", str(exc)))
         else:
             rows.append(u)  # completed by `_chunk_rows`
+            points.append(u)
         if len(points) == CHUNK or len(rows) - len(points) == CHUNK:
-            yield _chunk_rows(rows, points, tol)
+            yield _chunk_rows(rows, model, r, points, tol)
             rows, points = [], []
     if rows:
-        yield _chunk_rows(rows, points, tol)
+        yield _chunk_rows(rows, model, r, points, tol)
 
 
-def _chunk_rows(rows: list[tuple], points: list[ModelPoint], tol: float) -> list[tuple]:
-    """`rows` with each point's grid coordinates completed to its row."""
+def _chunk_rows(rows: list[tuple], model: str, r: float, points: list[tuple],
+                tol: float) -> list[tuple]:
+    """`rows` with each in-domain grid point u of `points` completed to its row."""
     fields: list[tuple] = []
-    for b in _batches(points, tol) if points else ():
-        if isinstance(b, Exception):
-            fields.append(("FAIL", str(b)))
-        else:
-            fields.extend(zip(*_batch_columns(b)))
+    if points:
+        batch = PointBatch(model, np.full(len(points), float(r)), np.array(points))
+        for b in _batches(batch, tol):
+            if isinstance(b, Exception):
+                fields.append(("FAIL", str(b)))
+            else:
+                fields.extend(zip(*_batch_columns(b)))
     it = iter(fields)
     return [row + next(it) if len(row) == 3 else row for row in rows]
 

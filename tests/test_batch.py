@@ -19,7 +19,14 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from paraframe import report
-from paraframe.hypersurface import EXCLUSION, TWO_PI, DomainError, ModelPoint, sample_points
+from paraframe.hypersurface import (
+    EXCLUSION,
+    TWO_PI,
+    DomainError,
+    ModelPoint,
+    PointBatch,
+    sample_points,
+)
 from paraframe.report import (
     CHUNK,
     SWEEP_COLUMNS,
@@ -285,6 +292,55 @@ def test_sweep_rows_equal_their_points(sweep):
     assert batch == _typed_bits(_point_rows(model, r, grid, TOL))
 
 
+def test_sweep_rows_build_no_model_point_in_the_domain():
+    # in-domain grid points are checked and batched as floats; only the nan
+    # point builds a ModelPoint, which raises its error
+    grid = [tuple(p.u) for p in sample_points("s1", 10, seed=6)]
+    grid += [SKIPPED["s1"], (math.nan, 0.7, 1.1)]
+    with mock.patch("paraframe.report.ModelPoint", wraps=ModelPoint) as built:
+        rows = [row for chunk in sweep_rows("s1", 1.0, grid, TOL) for row in chunk]
+    assert [row[3] for row in rows] == ["PASS"] * 10 + ["skipped"] * 2
+    assert rows[-1][4] == "u must be 3 finite parameters"
+    assert built.call_count == 1
+
+
+#: Coordinates at the edges of both domains: signed zeros, non-finite and
+#: extreme values, the excluded loci and points 1e-7 (inside the exclusion)
+#: and 2e-6 (outside it) from them, and 2pi and the doubles around it.
+EDGES = [0.0, -0.0, math.nan, math.inf, -math.inf, 1e300, -1e300, 1e-300, -1e-300,
+         TWO_PI, math.nextafter(TWO_PI, 0.0), math.nextafter(TWO_PI, 7.0)]
+EDGES += [k * math.pi / 2.0 + d for k in range(5) for d in (0.0, -1e-7, 1e-7, -2e-6, 2e-6)]
+edge_coordinate = st.one_of(st.sampled_from(EDGES), angle, anything)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(
+    st.sampled_from(("s1", "s2", "s3")),
+    st.sampled_from((1.0, 2.0, 0.0, -1.0, math.nan, math.inf)),
+    st.lists(st.tuples(edge_coordinate, edge_coordinate, edge_coordinate), min_size=1,
+             max_size=6),
+)
+@example("s1", 1.0, [(0.3, 0.0, 1.1), (0.3, math.pi / 2.0 + 1e-7, 1.1), (7.0, 0.7, 1.1),
+                     (0.3, 0.7, -0.0), (0.3, 0.7, -1e-300), (0.3, 0.7, TWO_PI)])
+@example("s2", 1.0, [(-0.0, 1.0, 0.5), (1e-7, 1.0, 0.5), (0.5, TWO_PI, 0.5),
+                     (0.5, -1e-300, 0.5), (0.5, 1.0, math.inf)])
+@example("s1", -1.0, [(0.3, 0.7, 1.1), (math.nan, 0.7, 1.1)])
+@example("s3", 1.0, [(0.3, 0.7, 1.1)])
+def test_skipped_rows_carry_the_model_point_error(model, r, grid):
+    # a grid point is skipped exactly when ModelPoint rejects it, with the
+    # text of the error ModelPoint raises; an unknown model skips every row
+    rows = [row for chunk in sweep_rows(model, r, grid, TOL) for row in chunk]
+    assert len(rows) == len(grid)
+    for u, row in zip(grid, rows):
+        try:
+            ModelPoint(model=model, r=r, u=np.array(u))
+        except ValueError as exc:
+            assert row[3:] == ("skipped", str(exc))
+        else:
+            assert row[3] != "skipped"
+
+
 #: Bound on the tracemalloc peak of one `_batches` call on a full CHUNK of
 #: points.  Measured at CHUNK = 64 (numpy 2.4): 943 KB on s1 and 942 KB on
 #: s2, 4% under the bound, with jets stored to their degree and products over
@@ -298,7 +354,7 @@ PEAK_BOUND = 980 * 1024
 
 @pytest.mark.parametrize("model", ["s1", "s2"])
 def test_full_chunk_memory_peak(model):
-    points = sample_points(model, CHUNK, seed=1)
+    points = PointBatch.of(sample_points(model, CHUNK, seed=1))
     _batches(points, TOL)  # one-off allocations outside the window
     tracing = tracemalloc.is_tracing()
     if not tracing:

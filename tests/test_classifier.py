@@ -161,6 +161,23 @@ def test_classify_scale_robust():
         assert all(lab == expected for lab in labels)
 
 
+def test_batched_classify_is_each_points_own():
+    # combinations of the s1 (F1 + F11) and s2 (F5 + F9) tensors, zero
+    # included, give four class patterns; each point's label is its own, and
+    # points of one pattern share one label
+    f1 = pipeline("s1", 1.0, [0.3, 0.8, 1.1]).f
+    f2 = pipeline("s2", 1.0, [0.7, 0.4, 0.9]).f
+    weights = [(1.0, 0.0), (0.0, 2.0), (0.5, -1.5), (0.0, 0.0), (3.0, 0.0), (0.0, 0.0),
+               (1e-3, 1e3), (-2.0, 0.0)]
+    f = np.array([a * f1 + b * f2 for a, b in weights])
+    d = class_components(f, lee_forms(f))
+    labels = classify(d, classification_tol(f))
+    own = [classify(class_components(fn, lee_forms(fn)), classification_tol(fn)) for fn in f]
+    assert labels == own
+    assert {label.classes for label in labels} == {(1, 11), (5, 9), (1, 5, 9, 11), ()}
+    assert labels[0] is labels[4] is labels[7] and labels[3] is labels[5]
+
+
 def test_nabla_eta_relation_models():
     for model, u in (("s1", [0.3, 0.8, 1.1]), ("s2", [-1.2, 2.0, 0.5])):
         ctx = pipeline(model, 1.0, u)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import curved, pipeline, skew
 from paraframe.hypersurface import (
     EUCLIDEAN,
+    PointBatch,
     bracket_field,
     evaluate_immersion,
     immerse,
@@ -125,7 +126,7 @@ def _gauss_cases():
     for model in ("s1", "s2"):
         for r in (1e-3, 1.0, 1e4):
             points = sample_points(model, 40, 7, r=r)
-            yield pytest.param(immerse(points), points[0].spec.signature, id=f"{model}-r{r:g}")
+            yield pytest.param(immerse(PointBatch.of(points)), points[0].spec.signature, id=f"{model}-r{r:g}")
     u = np.random.default_rng(5).uniform(-1.0, 1.0, size=(40, 3))
     for coords in (curved, skew):
         yield pytest.param(evaluate_immersion(coords, u), EUCLIDEAN, id=coords.__name__)
@@ -316,7 +317,7 @@ def _read_only_all_the_way(a: np.ndarray) -> bool:
 def test_point_fields_are_frozen():
     # a point's field and connection are frozen copies of the checked batch's rows
     points = sample_points("s1", 3, seed=5)
-    sf = bracket_field(orthonormal_frame(immerse(points), EUCLIDEAN))
+    sf = bracket_field(orthonormal_frame(immerse(PointBatch.of(points)), EUCLIDEAN))
     conn = koszul(sf)
     for n, p in enumerate(points):
         a = analyze_point(p, 1e-9)

@@ -12,8 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from paraframe import classifier, nijenhuis
-from paraframe.frame import ConnectionCoeffs, StructureField, d_eta, lie_xi_g
+from paraframe import classifier, nijenhuis, report
+from paraframe.frame import ConnectionCoeffs, StructureField, d_eta, lie_xi_g, sectional
 from paraframe.structure import ETA, PHI, XI
 from paraframe.tensors import gather, gather_table, max_abs
 
@@ -137,6 +137,17 @@ def test_nijenhuis_stages_are_their_einsums(tensors):
     n, hn = nijenhuis.nijenhuis_direct(conn, sf)
     assert _same_bits(n, _oracle_torsion_like(c, d_eta(conn)))
     assert _same_bits(hn, _oracle_torsion_like(sym, lie_xi_g(conn)))
+
+
+@given(batches(4))
+@settings(max_examples=100, deadline=None)
+def test_sectional_gather_is_its_einsum(tensors):
+    # the report's k_ab are frame.sectional on the basis planes, bit for bit
+    (r,) = tensors
+    nums = gather(r, report._SECTIONAL_TERMS, 4)
+    for (x, y), num, denom in zip(report._PLANES, nums, report._SECTIONAL_DENOMS):
+        assert _same_bits(num, np.einsum("...ijkl,i,j,k,l->...", r, x, y, y, x))
+        assert _same_bits(-2.0 * num / denom, sectional(r, x, y))
 
 
 def test_gather_table_rejects_a_contraction_that_sums_or_scales():

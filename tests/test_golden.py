@@ -67,7 +67,7 @@ FAIL_GRID = "0.5,0.7,1:800:3"
 WIDE_GRID = "0.1:6.0:12,1.0:2.141592653589793:3,0.2:5.0:3"
 
 #: Grids whose skipped rows carry every rejection message of their model: on
-#: s1, u0 >= 2pi, a negative u2 and u1 on 0, pi/2 and pi (4 of 20 rows are
+#: s1, u0 >= 2pi, a negative u2 and u1 on 0, pi/2 and pi (2 of 20 rows are
 #: analysed); on s2, u1 = 0 and u2 below 0 and at or above 2pi (2 of 9); and
 #: a nan or an inf in a grid point.
 REJECT_GRIDS = {

@@ -12,10 +12,12 @@ from paraframe.frame import StructureField, curvature, jacobi_residual, koszul
 from paraframe.hypersurface import (
     EUCLIDEAN,
     LORENTZIAN,
+    MODELS,
     DomainError,
     FrameCoeffs,
     Jet3,
     ModelPoint,
+    PointBatch,
     bracket_field,
     evaluate_immersion,
     immerse,
@@ -85,6 +87,28 @@ def test_on_sphere_everywhere():
     for model in ("s1", "s2"):
         for p in sample_points(model, 25, seed=3, r=1.7):
             assert sphere_residual(p, immerse(p).value) <= 1e-12
+
+
+@pytest.mark.parametrize("model", ["s1", "s2"])
+def test_batched_sphere_residual_is_each_points_own(model):
+    # one np.vecdot over a batch is bitwise np.dot point by point, and r**2
+    # is Python's, over 10,000 radii log-uniform in [1e-3, 1e4]
+    rng = np.random.default_rng(17)
+    n = 10_000
+    r = np.exp(rng.uniform(math.log(1e-3), math.log(1e4), size=n))
+    u = np.array([MODELS[model].sample(rng) for _ in range(n)])
+    batch = PointBatch(model, r, u)
+    z = immerse(batch).value
+    got = sphere_residual(batch, z)
+    spec = MODELS[model]
+    w = spec.signature.weights
+    want = [abs(float(np.dot(w * zn, zn)) - spec.sphere_sign * rn**2)
+            for rn, zn in zip(r.tolist(), z)]
+    assert got.shape == (n,)
+    assert np.array_equal(got.view(np.int64), np.array(want).view(np.int64))
+    one = mp(model, r[5], u[5])
+    assert type(sphere_residual(one, z[5])) is float
+    assert sphere_residual(one, z[5]) == want[5]
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +367,7 @@ def test_immersion_jet_matches_symbolic_derivatives(model):
     # against 40-digit values of the closed-form derivatives
     f = _symbolic_partials(model)
     points = SYMBOLIC_POINTS[model]
-    jet = immerse(points)
+    jet = immerse(PointBatch.of(points))
     for n, p in enumerate(points):
         with mpmath.workdps(40):
             exact = f(mpmath.mpf(p.r), *(mpmath.mpf(x) for x in p.u))
@@ -405,7 +429,7 @@ def test_batch_rows_bitwise_equal_single_points(size):
         for start in range(0, len(points), size):
             chunk = points[start : start + size]
             singles = [_stages(immerse(p), sig) for p in chunk]
-            _assert_rows_equal_single(_stages(immerse(chunk), sig), singles)
+            _assert_rows_equal_single(_stages(immerse(PointBatch.of(chunk)), sig), singles)
 
     u = np.random.default_rng(3).uniform(-2.0, 2.0, size=(size, 3))
     singles = [_stages(evaluate_immersion(skew, row), EUCLIDEAN) for row in u]
@@ -417,7 +441,7 @@ def test_batch_rows_bitwise_equal_single_points(size):
 
 def test_batch_needs_one_model():
     with pytest.raises(ValueError, match="one model"):
-        immerse([mp("s1", 1.0, [0.3, 0.7, 1.1]), mp("s2", 1.0, [0.6, 1.0, 0.5])])
+        PointBatch.of([mp("s1", 1.0, [0.3, 0.7, 1.1]), mp("s2", 1.0, [0.6, 1.0, 0.5])])
 
 
 def test_array_dataclasses_compare_by_identity():

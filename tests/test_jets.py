@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from paraframe import jets
-from paraframe.hypersurface import MODELS, immerse, orthonormal_frame, sample_points
+from paraframe.hypersurface import MODELS, PointBatch, immerse, orthonormal_frame, sample_points
 from paraframe.jets import _FLAT_CELLS, _MONOMIALS, _MUL_TABLE, TJet, _cut, _elementwise, partials
 
 
@@ -119,6 +119,49 @@ def test_paired_functions_are_the_single_ones(shape, deg):
             assert np.array_equal(_bits(single.c), _bits(alone.c))
 
 
+def _every_power(x: TJet, d: list[np.ndarray]) -> TJet:
+    """Taylor composition through h^3 at any degree: the powers above the
+    jet's degree add only +-0 there."""
+    h = TJet(x.c.copy(), x.deg)
+    h.c[..., 0] = 0.0
+    out = TJet.constant(d[0]) + h * d[1]
+    term, fact = h, 1.0
+    for k in (2, 3):
+        term = term * h
+        fact *= k
+        out = out + term * (d[k] / fact)
+    return out
+
+
+@pytest.mark.parametrize("deg", [0, 1, 2, 3])
+@pytest.mark.parametrize("shape", [(), (5,), (2, 3)])
+def test_compositions_stop_at_their_degree(monkeypatch, shape, deg):
+    # sqrt and reciprocal form only the powers and derivatives their degree
+    # reads, bitwise the composition through h^3; the per-element x**3 and
+    # x**4 passes run only at degrees 2 and 3
+    x = _random_jet(30 + deg, shape, deg)
+    x.c[..., 0] = np.abs(x.c[..., 0]) + 0.5
+    x.c[..., 1:] = np.where(x.c[..., 1:] > 1.0, -0.0, x.c[..., 1:])
+    v = x.value
+    r, iv = np.sqrt(v), 1.0 / v
+    cube, fourth = _elementwise(lambda t: t**3, iv), _elementwise(lambda t: t**4, iv)
+    passes = []
+
+    def counted(fn, a):
+        passes.append(fn)
+        return _elementwise(fn, a)
+
+    monkeypatch.setattr(jets, "_elementwise", counted)
+    for got, d in (
+        (x.sqrt(), [r, 0.5 / r, -0.25 / (r * v), 0.375 / (r * v * v)]),
+        (x.reciprocal(), [iv, -iv * iv, 2.0 * cube, -6.0 * fourth]),
+    ):
+        want = _every_power(x, d)
+        assert got.deg == want.deg == deg
+        assert np.array_equal(_bits(got.c), _bits(want.c))
+    assert len(passes) == max(deg - 1, 0)
+
+
 def _loop_sum(c: np.ndarray, axes: int) -> np.ndarray:
     c = c.reshape(c.shape[: -1 - axes] + (-1, 20))
     s = np.zeros(c.shape[:-2] + (20,))
@@ -145,7 +188,7 @@ def test_frame_jets_vanish_above_their_degree():
     # coefficients of degree <= 2
     for model in MODELS:
         points = sample_points(model, 5, seed=2)
-        fc = orthonormal_frame(immerse(points), MODELS[model].signature)
+        fc = orthonormal_frame(immerse(PointBatch.of(points)), MODELS[model].signature)
         assert fc.jets.deg == 2
         assert fc.jets.c.shape[-1] == 10
 

@@ -11,7 +11,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from paraframe.hypersurface import MODELS, DomainError, ModelPoint, sample_points
+from paraframe.hypersurface import MODELS, DomainError, ModelPoint, PointBatch, sample_points
 from paraframe.reference import model_reference
 from paraframe.report import run_verify
 
@@ -61,7 +61,7 @@ def test_closed_form_of_a_chunk_is_its_points_own(model, r):
     sampled = sample_points(model, 4, 11, r=r)
     points = sampled + _near_exclusions(model, sampled)
     assert len(points) > len(sampled)
-    chunk = model_reference(points)
+    chunk = model_reference(PointBatch.of(points))
     for n, p in enumerate(points):
         own = model_reference(p)
         for f in fields(own):

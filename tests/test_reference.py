@@ -50,7 +50,7 @@ def test_one_model_reference_call_per_chunk(model, monkeypatch):
     calls = []
 
     def counted(chunk):
-        calls.append([p.u.tolist() for p in chunk])
+        calls.append(chunk.u.tolist())
         return model_reference(chunk)
 
     monkeypatch.setattr(report, "model_reference", counted)

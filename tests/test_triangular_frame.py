@@ -17,6 +17,7 @@ from paraframe.hypersurface import (
     _UPPER_I,
     _UPPER_J,
     EUCLIDEAN,
+    PointBatch,
     bracket_field,
     evaluate_immersion,
     immerse,
@@ -65,7 +66,7 @@ def model_batches(draw):
 @given(model_batches())
 def test_model_front_bitwise_dense(points):
     sig = points[0].spec.signature
-    _assert_front_is_dense(lambda: immerse(points), sig)
+    _assert_front_is_dense(lambda: immerse(PointBatch.of(points)), sig)
     _assert_front_is_dense(lambda: immerse(points[0]), sig)
 
 
