@@ -37,6 +37,7 @@ from .hypersurface import (
     FrameCoeffs,
     Jet3,
     ModelPoint,
+    PointBatch,
     bracket_field,
     evaluate_immersion,
     immerse,
