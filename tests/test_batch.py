@@ -159,9 +159,6 @@ def _point_checks(model: str, a, tol: float) -> dict[str, float]:
         checks["n_plus_deta_xi"] = max_abs(
             a.nijenhuis + np.einsum("ij,k->ijk", a.d_eta, ETA)
         )
-    else:
-        checks["d_eta_zero"] = max_abs(a.d_eta)
-        checks["nabla_xi_xi_zero"] = max_abs(a.nabla_xi_xi)
     return checks
 
 
