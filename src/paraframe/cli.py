@@ -79,6 +79,8 @@ def parse_grid(text: str) -> list[np.ndarray]:
     """Grid spec: three comma-separated axes, each `value` or `start:stop:count`.
 
     Rows are the Cartesian product in row-major order (first axis slowest).
+    A range's ends and span must be finite; a single `value` may be any
+    float, and a non-finite one is a skipped row.
     """
     parts = text.split(",")
     if len(parts) != 3:
@@ -93,6 +95,8 @@ def parse_grid(text: str) -> list[np.ndarray]:
                 start, stop, count = float(pieces[0]), float(pieces[1]), int(pieces[2])
                 if count < 0:
                     raise ValueError("count must be >= 0")
+                if not math.isfinite(stop - start):  # also nan or inf at an end
+                    raise ValueError("range ends and span must be finite")
                 axes.append(np.linspace(start, stop, count))
             else:
                 axes.append(np.array([float(part)]))

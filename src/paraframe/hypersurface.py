@@ -194,25 +194,33 @@ MODELS = {
 }
 
 
+def check_point(model: str, r: float, u: Sequence[float]) -> None:
+    """Raise the error of a point outside its model's domain, checked in this
+    order: an unknown model, u not 3 finite parameters (an array of shape
+    (3,) or 3 Python floats), a radius not positive and finite, then the
+    model's own `validate`."""
+    if model not in MODELS:
+        raise ValueError(f"unknown model {model!r}; choose from {sorted(MODELS)}")
+    if len(u) != 3 or not all(map(math.isfinite, u)):
+        raise ValueError("u must be 3 finite parameters")
+    if not (math.isfinite(r) and r > 0.0):
+        raise DomainError(f"radius must be positive, got {r}")
+    MODELS[model].validate(u)
+
+
 @dataclass(frozen=True, eq=False)
 class ModelPoint:
-    """A parameter point of a built-in model."""
+    """A parameter point of a built-in model, checked by `check_point`."""
 
     model: str
     r: float
     u: np.ndarray
 
     def __post_init__(self):
-        if self.model not in MODELS:
-            raise ValueError(f"unknown model {self.model!r}; choose from {sorted(MODELS)}")
         u = np.asarray(self.u, dtype=float)
-        if u.shape != (3,) or not np.all(np.isfinite(u)):
-            raise ValueError("u must be 3 finite parameters")
+        check_point(self.model, self.r, u if u.shape == (3,) else ())  # () is not 3 parameters
         u.flags.writeable = False
         object.__setattr__(self, "u", u)
-        if not (np.isfinite(self.r) and self.r > 0.0):
-            raise DomainError(f"radius must be positive, got {self.r}")
-        MODELS[self.model].validate(u)
 
     @property
     def spec(self) -> ModelSpec:
@@ -224,8 +232,8 @@ class PointBatch:
     """Points of one model as arrays: radii r (n,) and parameters u (n, 3),
     read-only copies.  The batched stages (`immerse`, `model_reference` and
     the report's chunk analysis) take a chunk of points in this form; its
-    points are taken to be in the domain, as `ModelPoint` or the model's
-    `validate` checks them.  A slice is the batch of those points.
+    points are taken to be in the domain, as `check_point` checks them.  A
+    slice is the batch of those points.
     """
 
     model: str

@@ -2,11 +2,11 @@
 
 Every tensor the pipeline computes has a hand-transcribed counterpart here,
 parametrized by (r, u), from the bracket data c and dc of the orthonormal
-frame to the curvature.  These are the verification targets of
-`analyze_point` and the `paraframe verify` command; none of them call back
-into the pipeline.  Each closed form is a batched stage, like `immerse`:
-one call gives the targets at every point of a chunk, each row bitwise
-the closed form at that point alone.
+frame to the curvature.  These are the verification targets of the
+report's chunk analysis, which every command runs (a point command on a
+chunk of one point); none of them call back into the pipeline.  Each closed
+form is a batched stage, like `immerse`: one call gives the targets at every
+point of a chunk, each row bitwise the closed form at that point alone.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ class ModelReference:
     nabla_xi_xi: np.ndarray
 
     def __post_init__(self):
-        # read-only, as the points of a chunk are views of one batch
+        # read-only: every check of a chunk reads these same targets
         for value in (*vars(self).values(), *self.lee_params.values()):
             if isinstance(value, np.ndarray):
                 value.setflags(write=False)

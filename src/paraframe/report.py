@@ -11,14 +11,13 @@ streamed a chunk at a time by `SweepText` under the same rules and bytes.
 from __future__ import annotations
 
 import functools
-import math
-from dataclasses import dataclass, fields, is_dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from . import classifier, frame, nijenhuis, tensors
-from .hypersurface import MODELS, ModelPoint, PointBatch, bracket_field, immerse
+from .hypersurface import MODELS, ModelPoint, PointBatch, bracket_field, check_point, immerse
 from .hypersurface import orthonormal_frame, sample_points, sphere_residual
 from .reference import ModelReference, model_reference
 from .structure import PHI, metric_compat
@@ -35,13 +34,13 @@ REPORT_EPS = 1e-12
 
 @dataclass(frozen=True, eq=False)
 class PointAnalysis:
-    """Every stage of the pipeline at one point, with its identity residuals
-    and the closed-form targets they are checked against.
+    """Every stage of the pipeline at a chunk of points, with its identity
+    residuals and the closed-form targets they are checked against.
 
-    `_analyze_field` builds one for a whole chunk of points: then every
-    array, scalar and residual carries a leading point axis, as does the one
-    `reference` of the chunk, and `label` and `status` are lists with one
-    entry per point.
+    `_analyze_field` builds one per chunk: every array and residual carries
+    a leading point axis, as does the one `reference` of the chunk, and
+    `label` and `status` are lists with one entry per point.  A point
+    command's analysis is a chunk of one point, read at row 0.
     """
 
     field: frame.StructureField
@@ -49,21 +48,21 @@ class PointAnalysis:
     f: np.ndarray
     lee: classifier.LeeForms
     decomposition: classifier.FDecomposition
-    label: classifier.ClassLabel
+    label: list[classifier.ClassLabel]
     nijenhuis: np.ndarray
     assoc_nijenhuis: np.ndarray
     curvature: np.ndarray
     ricci: np.ndarray
     ricci_star: np.ndarray
-    tau: float
-    tau_star: float
-    k: tuple[float, float, float]
-    kappa: float
+    tau: np.ndarray
+    tau_star: np.ndarray
+    k: tuple[np.ndarray, np.ndarray, np.ndarray]
+    kappa: np.ndarray
     d_eta: np.ndarray
     nabla_xi_xi: np.ndarray
     reference: ModelReference
-    residuals: dict[str, float]
-    status: str
+    residuals: dict[str, np.ndarray]
+    status: list[str]
 
 
 #: Points per call of the pipeline.  On a shared 2-core VM (Python 3.11,
@@ -79,40 +78,10 @@ class PointAnalysis:
 CHUNK = 64
 
 
-def _chunked(points: Sequence[ModelPoint]) -> Iterator[PointBatch]:
-    """The batches of runs of at most CHUNK consecutive points of one model,
-    in order."""
-    chunk: list[ModelPoint] = []
-    for p in points:
-        if chunk and (len(chunk) == CHUNK or p.model != chunk[0].model):
-            yield PointBatch.of(chunk)
-            chunk = []
-        chunk.append(p)
-    if chunk:
-        yield PointBatch.of(chunk)
-
-
-def analyze_points(points: Sequence[ModelPoint], tol: float) -> list[PointAnalysis]:
-    """Run the full pipeline at each point and collect tensors and residuals.
-
-    The whole pipeline, from the jet stages (immerse, orthonormal_frame,
-    bracket_field) and the closed-form reference to the residuals, runs once
-    per chunk of points (see `_chunked`), each point a row of the batched
-    arrays.  Every result is bitwise the result for that point alone.  If a
-    chunk raises, its halves are run again, down to single points, so the
-    error raised is the first failing point's own.
-    """
-    return [
-        _point(b, n)
-        for chunk in _chunked(points)
-        for b in _analysed(chunk, tol)
-        for n in range(len(b.status))
-    ]
-
-
 def analyze_point(p: ModelPoint, tol: float) -> PointAnalysis:
-    """Run the full pipeline at one point; see analyze_points."""
-    return analyze_points([p], tol)[0]
+    """The analysis of a point command: the full pipeline on the one-point
+    batch of p, each value's row 0 that point's."""
+    return _analysed(PointBatch.of([p]), tol)[0]
 
 
 #: The planes span{e_a, e_b} of the reported sectional curvatures k_ab: the
@@ -158,7 +127,8 @@ def _batches(batch: PointBatch, tol: float) -> list[PointAnalysis | Exception]:
 
 
 def _analysed(batch: PointBatch, tol: float) -> list[PointAnalysis]:
-    """`_batches` of a chunk, raising the first failing point's error."""
+    """`_batches` of a chunk, raising the first failing point's own error;
+    each row is bitwise the result for that point alone."""
     batches = _batches(batch, tol)
     for b in batches:
         if isinstance(b, Exception):
@@ -233,24 +203,6 @@ def _analyze_field(sf: frame.StructureField, kappa: np.ndarray, ref: ModelRefere
     )
 
 
-def _point(b, n: int):
-    """Point n of a batched value: an array drops its point axis (a 1-D one
-    gives a Python float), a list gives entry n, mappings, tuples and
-    dataclasses are rebuilt from their members' point n, and any other value
-    (a reference's class number) is every point's own."""
-    if isinstance(b, np.ndarray):
-        return float(b[n]) if b.ndim == 1 else b[n]
-    if isinstance(b, list):
-        return b[n]
-    if isinstance(b, Mapping):
-        return {key: _point(v, n) for key, v in b.items()}
-    if isinstance(b, tuple):
-        return tuple(_point(v, n) for v in b)
-    if is_dataclass(b):
-        return type(b)(**{f.name: _point(getattr(b, f.name), n) for f in fields(b)})
-    return b
-
-
 def _entries(name: str, t: np.ndarray) -> dict[str, float]:
     """Nonzero components keyed like R_0101, in index order."""
     idx = np.nonzero(np.abs(t) > REPORT_EPS)  # row-major
@@ -271,12 +223,12 @@ def classify_report(p: ModelPoint, tol: float) -> dict:
         "model": p.model,
         "r": float(p.r),
         "point": [float(x) for x in p.u],
-        "classes": _class_names(a.label),
-        "is_f0": a.label.is_f0,
-        "params": a.decomposition.params,
-        "class_residual": a.decomposition.residual,
-        "f_components": _entries("F", a.f),
-        "status": a.status,
+        "classes": _class_names(a.label[0]),
+        "is_f0": a.label[0].is_f0,
+        "params": {key: float(v[0]) for key, v in a.decomposition.params.items()},
+        "class_residual": float(a.decomposition.residual[0]),
+        "f_components": _entries("F", a.f[0]),
+        "status": a.status[0],
     }
 
 
@@ -287,15 +239,15 @@ def curvature_report(p: ModelPoint, tol: float) -> dict:
         "model": p.model,
         "r": float(p.r),
         "point": [float(x) for x in p.u],
-        "curvature_components": _entries("R", a.curvature),
-        "ricci": _entries("rho", a.ricci),
-        "ricci_star": _entries("rho_star", a.ricci_star),
-        "tau": a.tau,
-        "tau_star": a.tau_star,
-        **dict(zip(_SECTIONAL_KEYS, a.k)),
-        "kappa": a.kappa,
-        "space_form_residual": a.residuals["space_form"],
-        "status": a.status,
+        "curvature_components": _entries("R", a.curvature[0]),
+        "ricci": _entries("rho", a.ricci[0]),
+        "ricci_star": _entries("rho_star", a.ricci_star[0]),
+        "tau": float(a.tau[0]),
+        "tau_star": float(a.tau_star[0]),
+        **{key: float(kab[0]) for key, kab in zip(_SECTIONAL_KEYS, a.k)},
+        "kappa": float(a.kappa[0]),
+        "space_form_residual": float(a.residuals["space_form"][0]),
+        "status": a.status[0],
     }
 
 
@@ -345,11 +297,12 @@ def _checks(model: str, a: PointAnalysis, tol: float) -> dict[str, float]:
 
 
 def run_verify(model: str, r: float, samples: int, seed: int, tol: float) -> dict:
-    """Evaluate every identity at seeded sample points; PASS iff all within tol."""
-    points = sample_points(model, samples, seed, r=r)
+    """Evaluate every identity at seeded sample points, CHUNK points at a
+    time; PASS iff all within tol."""
+    points = PointBatch.of(sample_points(model, samples, seed, r=r))
     worst: dict[str, float] = {}
-    for chunk in _chunked(points):
-        for b in _analysed(chunk, tol):
+    for start in range(0, len(points), CHUNK):
+        for b in _analysed(points[start : start + CHUNK], tol):
             for name, value in _checks(model, b, tol).items():
                 worst[name] = max(worst.get(name, 0.0), value)
     checks = [
@@ -511,22 +464,16 @@ def sweep_rows(model: str, r: float, grid: Iterable, tol: float) -> Iterator[lis
     row and a point whose own analysis raises a `FAIL` row; both carry the
     error in `warning` and end there.  Only one chunk is held at a time.
 
-    A grid point is checked by the model's `validate` on Python floats and
-    enters its chunk's `PointBatch` as floats, with no ModelPoint of its
-    own.  Only a point that fails before `validate` (an unknown model, a
-    bad radius or a non-finite parameter) builds one, to raise its error, so
-    every `warning` is the text ModelPoint(model, r, u) raises.
+    A grid point is checked by `check_point` on Python floats and enters
+    its chunk's `PointBatch` as floats, with no ModelPoint of its own; every
+    `warning` is the text ModelPoint(model, r, u) raises.
     """
-    spec = MODELS.get(model)
-    every_point_fails = spec is None or not (np.isfinite(r) and r > 0.0)
     rows: list[tuple] = []
     points: list[tuple] = []
     for u in grid:
         u = (float(u[0]), float(u[1]), float(u[2]))
         try:
-            if every_point_fails or not all(map(math.isfinite, u)):
-                ModelPoint(model=model, r=r, u=np.array(u))  # raises the point's error
-            spec.validate(u)
+            check_point(model, r, u)
         except ValueError as exc:
             rows.append((*u, "skipped", str(exc)))
         else:

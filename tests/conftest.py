@@ -13,7 +13,7 @@ from paraframe import (
 )
 from paraframe.hypersurface import ModelPoint
 from paraframe.reference import model_reference
-from paraframe.report import analyze_point
+from points import analyze_point
 
 SEED = 42
 N_POINTS = 100

@@ -15,9 +15,9 @@ from conftest import N_POINTS, SEED, pipeline
 from paraframe.classifier import classification_tol
 from paraframe.frame import d_eta, nabla_xi_xi
 from paraframe.hypersurface import immerse, orthonormal_frame
-from paraframe.report import analyze_point
 from paraframe.structure import verify_axioms
 from paraframe.tensors import kulkarni_nomizu, max_abs
+from points import analyze_point
 
 TOL = 1e-9
 JET_TOL = 1e-10

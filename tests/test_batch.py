@@ -1,7 +1,7 @@
-"""A batch is its points: analyze_points over a chunk equals analyze_point at
-each of its points, bit for bit, or both raise the first failing point's error;
-and verify's batched fold of a chunk's checks equals folding them point by
-point.
+"""A batch is its points: each row of a chunk's analysis equals that point's
+analysis run alone (both read through `points`), bit for bit, or both raise
+the first failing point's error; and verify's batched fold of a chunk's
+checks equals folding them point by point.
 
 Points are drawn from the whole accepted domain of both models, including
 parameters next to the excluded loci and s2 parameters far outside the
@@ -33,13 +33,12 @@ from paraframe.report import (
     _batches,
     _class_names,
     _entries,
-    analyze_point,
-    analyze_points,
     run_verify,
     sweep_rows,
 )
 from paraframe.structure import ETA
 from paraframe.tensors import max_abs
+from points import analyze_point, analyze_points
 
 RADII = (1e-3, 1.0, 2.0, 1e4)
 TOL = 1e-9
@@ -290,15 +289,14 @@ def test_sweep_rows_equal_their_points(sweep):
 
 
 def test_sweep_rows_build_no_model_point_in_the_domain():
-    # in-domain grid points are checked and batched as floats; only the nan
-    # point builds a ModelPoint, which raises its error
+    # every grid point, in the domain or not, is checked and batched as floats
     grid = [tuple(p.u) for p in sample_points("s1", 10, seed=6)]
     grid += [SKIPPED["s1"], (math.nan, 0.7, 1.1)]
     with mock.patch("paraframe.report.ModelPoint", wraps=ModelPoint) as built:
         rows = [row for chunk in sweep_rows("s1", 1.0, grid, TOL) for row in chunk]
     assert [row[3] for row in rows] == ["PASS"] * 10 + ["skipped"] * 2
     assert rows[-1][4] == "u must be 3 finite parameters"
-    assert built.call_count == 1
+    assert built.call_count == 0
 
 
 #: Coordinates at the edges of both domains: signed zeros, non-finite and

@@ -4,6 +4,7 @@ import math
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import pytest
 
@@ -142,6 +143,19 @@ def test_sweep_skips_domain_violations(capsys):
     assert status.count("skipped") == 3
     assert status.count("PASS") == 2
     assert "skipped" in err
+
+
+@pytest.mark.parametrize("axis", ["0.5:inf:2", "-inf:inf:3", "-1e308:1e308:3", "nan:1:2"])
+def test_sweep_rejects_a_non_finite_range(capsys, axis):
+    # np.linspace over these would warn and sweep nan or inf values the user
+    # did not type; the range is a usage error naming its axis, also where
+    # warnings are errors
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "sweep", "--model", "s1", f"--grid=0.3,{axis},1.1")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: bad --grid axis {axis!r}: range ends and span must be finite\n"
 
 
 #: The error of each s2 point at u = (0.5, u1, u2) whose analysis fails, by u2.

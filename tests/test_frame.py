@@ -29,8 +29,9 @@ from paraframe.frame import (
     sectional,
     space_form_residual,
 )
-from paraframe.report import _analyze_field, _point, analyze_point
+from paraframe.report import _analyze_field
 from paraframe.tensors import max_abs
+from points import analyze_point, point
 
 E = np.eye(3)
 LN2 = math.log(2.0)
@@ -356,7 +357,7 @@ def test_milnor_frames_through_the_tail():
     batch = _analyze_field(sf, np.zeros(len(lam)), [None] * len(lam), {}, 1e-9)
     mu = lam.sum(axis=1, keepdims=True) / 2.0 - lam
     for n, (triple, name) in enumerate(MILNOR.items()):
-        a = _point(batch, n)
+        a = point(batch, n)
         rho = np.diag([2.0 * mu[n, (i + 1) % 3] * mu[n, (i + 2) % 3] for i in range(3)])
         assert max_abs(a.ricci - rho) <= 1e-15 * max(1.0, max_abs(lam[n]) ** 2), triple
         if name is not None:

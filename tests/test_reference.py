@@ -1,18 +1,22 @@
 """One closed-form reference per chunk: `_batches` calls `model_reference`
 once on the chunk's points, and every point's reference, read off the
-chunk's, is bitwise and read-only `model_reference` at that point.
+chunk's, is bitwise and read-only `model_reference` at that point.  A point
+command is a chunk of one point, and verify runs its samples CHUNK at a time.
 """
 
 import itertools
 from dataclasses import fields
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from paraframe import report
-from paraframe.hypersurface import DomainError, ModelPoint
-from paraframe.reference import model_reference
-from paraframe.report import CHUNK, SWEEP_COLUMNS, analyze_points, sweep_rows
+from paraframe.cli import main
+from paraframe.hypersurface import MODELS, DomainError, ModelPoint, sample_points
+from paraframe.reference import ModelReference, model_reference
+from paraframe.report import CHUNK, SWEEP_COLUMNS, sweep_rows
+from points import analyze_points
 
 TOL = 1e-9
 
@@ -81,3 +85,27 @@ def test_shared_references_are_each_points_own_and_read_only(model):
             if isinstance(got, np.ndarray):
                 with pytest.raises(ValueError, match="read-only"):
                     got[...] = 0.0
+
+
+@pytest.mark.parametrize("command", ["classify", "curvature"])
+def test_a_point_command_builds_one_reference(command, capsys):
+    # the report reads row 0 of the one-point batch, so the closed form's
+    # ModelReference is the only one built, by the one `_batches` call
+    with mock.patch.object(ModelReference, "__post_init__", autospec=True,
+                           side_effect=ModelReference.__post_init__) as built, \
+         mock.patch("paraframe.report._batches", wraps=report._batches) as batches:
+        code = main([command, "--model", "s1", "--point", "0.3,0.7,1.1", "--format", "json"])
+    assert code == 0 and '"status": "PASS"' in capsys.readouterr().out
+    assert built.call_count == 1
+    assert batches.call_count == 1
+
+
+@pytest.mark.parametrize("model", sorted(MODELS))
+def test_verify_runs_its_samples_in_chunks(model):
+    # 70 samples are one chunk of CHUNK = 64 points and one of 6, in order
+    with mock.patch("paraframe.report._batches", wraps=report._batches) as batches:
+        assert report.run_verify(model, 1.0, 70, 0, TOL)["status"] == "PASS"
+    chunks = [call.args[0] for call in batches.call_args_list]
+    assert [len(chunk) for chunk in chunks] == [CHUNK, 70 - CHUNK]
+    assert np.array_equal(np.concatenate([chunk.u for chunk in chunks]),
+                          [p.u for p in sample_points(model, 70, 0)])
