@@ -47,7 +47,7 @@ from .hypersurface import (
     sphere_residual,
     structure_field,
 )
-from .nijenhuis import assoc_nijenhuis_from_F, nijenhuis_direct, nijenhuis_from_F
+from .nijenhuis import nijenhuis_direct, nijenhuis_from_F
 from .structure import verify_axioms
 from .tensors import (
     DIM,

@@ -111,24 +111,15 @@ def curvature(conn: ConnectionCoeffs, sf: StructureField) -> np.ndarray:
 _GG = kulkarni_nomizu(np.eye(DIM), np.eye(DIM))
 
 
-def plane_norm(x, y) -> float:
-    """(g^g)(x,y,y,x), the denominator of the sectional curvature of
-    span{x, y}; a degenerate plane is a ValueError."""
+def sectional(r: np.ndarray, x, y):
+    """Sectional curvature of span{x, y}: -2 R(x,y,y,x) / (g^g)(x,y,y,x),
+    one per point of r; a degenerate plane is a ValueError."""
+    r = as_tensor(r, 4, batched=True)
     x = as_tensor(x, 1)
     y = as_tensor(y, 1)
     denom = float(np.einsum("ijkl,i,j,k,l->", _GG, x, y, y, x))
     if abs(denom) < 1e-12:
         raise ValueError("degenerate 2-plane: (g^g)(x,y,y,x) vanishes")
-    return denom
-
-
-def sectional(r: np.ndarray, x, y):
-    """Sectional curvature of span{x, y}: -2 R(x,y,y,x) / (g^g)(x,y,y,x),
-    one per point of r."""
-    r = as_tensor(r, 4, batched=True)
-    x = as_tensor(x, 1)
-    y = as_tensor(y, 1)
-    denom = plane_norm(x, y)
     num = np.einsum("...ijkl,i,j,k,l->...", r, x, y, y, x)
     return -2.0 * num / denom
 

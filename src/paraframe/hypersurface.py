@@ -210,14 +210,15 @@ def check_point(model: str, r: float, u: Sequence[float]) -> None:
 
 @dataclass(frozen=True, eq=False)
 class ModelPoint:
-    """A parameter point of a built-in model, checked by `check_point`."""
+    """A parameter point of a built-in model, checked by `check_point`; u is
+    a read-only copy."""
 
     model: str
     r: float
     u: np.ndarray
 
     def __post_init__(self):
-        u = np.asarray(self.u, dtype=float)
+        u = np.array(self.u, dtype=float)
         check_point(self.model, self.r, u if u.shape == (3,) else ())  # () is not 3 parameters
         u.flags.writeable = False
         object.__setattr__(self, "u", u)

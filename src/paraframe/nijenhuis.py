@@ -3,10 +3,11 @@
 Two independent routes are provided.  The authoritative one expresses both
 tensors through F, which pins the sign convention; the direct route builds
 them from frame brackets and symmetrized covariant derivatives and exists
-as a cross-check oracle.  Both read phi, xi and eta from the constants of
-`structure` and contract them by gather (`tensors.gather`): each such
-contraction only copies entries, and the gather is bitwise its einsum.
-Every function keeps the leading (batch) axes of its tensor arguments.
+as a cross-check oracle.  Each route returns the pair (N, N_hat).  Both
+read phi, xi and eta from the constants of `structure` and contract them by
+gather (`tensors.gather`): each such contraction only copies entries, and
+the gather is bitwise its einsum.  Every function keeps the leading (batch)
+axes of its tensor arguments.
 """
 
 from __future__ import annotations
@@ -39,29 +40,27 @@ _B_TERMS = gather_table(
 _K_ETA = gather_table(("...ij,k->...ijk", None, ETA))
 
 
-def nijenhuis_from_F(f: np.ndarray) -> np.ndarray:
-    """N(x,y,z) = F(phi x,y,z) - F(phi y,x,z) - F(x,y,phi z) + F(y,x,phi z)
-    + eta(z) { F(x,phi y,xi) - F(y,phi x,xi) }."""
+def nijenhuis_from_F(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Both tensors from one gather of F's contractions:
+
+    N(x,y,z) = F(phi x,y,z) - F(phi y,x,z) - F(x,y,phi z) + F(y,x,phi z)
+    + eta(z) { F(x,phi y,xi) - F(y,phi x,xi) },
+
+    and N_hat, the same expansion with every cross term added.
+    """
     f = as_tensor(f, 3, batched=True)
     t1, t2, t3, t4 = gather(f, _F_TERMS, 3)
     c1, c2 = gather(f, _F_CORRECTIONS, 3)
-    n = t1 - t2
-    n -= t3 - t4
-    (eta_corr,) = gather(c1 - c2, _ETA_K, 2)
-    n += eta_corr
-    return n
 
+    def expansion(cross) -> np.ndarray:
+        # cross joins each pair of cross terms: np.subtract for N, np.add for N_hat
+        n = cross(t1, t2)
+        n -= cross(t3, t4)
+        (eta_corr,) = gather(cross(c1, c2), _ETA_K, 2)
+        n += eta_corr
+        return n
 
-def assoc_nijenhuis_from_F(f: np.ndarray) -> np.ndarray:
-    """Symmetric companion: same expansion with all cross terms added."""
-    f = as_tensor(f, 3, batched=True)
-    t1, t2, t3, t4 = gather(f, _F_TERMS, 3)
-    c1, c2 = gather(f, _F_CORRECTIONS, 3)
-    n = t1 + t2
-    n -= t3 + t4
-    (eta_corr,) = gather(c1 + c2, _ETA_K, 2)
-    n += eta_corr
-    return n
+    return expansion(np.subtract), expansion(np.add)
 
 
 def nijenhuis_direct(conn: ConnectionCoeffs, sf: StructureField) -> tuple[np.ndarray, np.ndarray]:

@@ -31,8 +31,9 @@ if TYPE_CHECKING:  # hypersurface imports this module
 @dataclass(frozen=True, eq=False)
 class ModelReference:
     """Expected frame tensors of a model at one point, or at each point of a
-    batch: then every array, and every value of `lee_params`, has a leading
-    point axis, and `classes`, the model's own, is shared.
+    batch: then every array, `tau`, `tau_star`, `sectional` and every value
+    of `lee_params` included, has a leading point axis, and `classes`, the
+    model's own, is shared; at one point nothing has a point axis.
 
     c[..., i, j, k] and dc[..., l, i, j, k] are the bracket data of the
     orthonormal frame, laid out like StructureField.
@@ -47,11 +48,11 @@ class ModelReference:
     curvature: np.ndarray
     ricci: np.ndarray
     ricci_star: np.ndarray
-    tau: float
-    tau_star: float
-    sectional: float
+    tau: np.ndarray
+    tau_star: np.ndarray
+    sectional: np.ndarray
     classes: tuple[int, ...]
-    lee_params: Mapping[str, float]
+    lee_params: Mapping[str, np.ndarray]
     d_eta: np.ndarray
     nabla_xi_xi: np.ndarray
 

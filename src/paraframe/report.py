@@ -56,12 +56,13 @@ class PointAnalysis:
     ricci_star: np.ndarray
     tau: np.ndarray
     tau_star: np.ndarray
-    k: tuple[np.ndarray, np.ndarray, np.ndarray]
+    k: np.ndarray  # (n, 3): each point's k_01, k_02 and k_12
     kappa: np.ndarray
     d_eta: np.ndarray
     nabla_xi_xi: np.ndarray
     reference: ModelReference
     residuals: dict[str, np.ndarray]
+    max_residual: np.ndarray  # each point's worst residual, which status compares with tol
     status: list[str]
 
 
@@ -84,15 +85,10 @@ def analyze_point(p: ModelPoint, tol: float) -> PointAnalysis:
     return _analysed(PointBatch.of([p]), tol)[0]
 
 
-#: The planes span{e_a, e_b} of the reported sectional curvatures k_ab: the
-#: gather of each R(e_a, e_b, e_b, e_a), each (g^g)(e_a, e_b, e_b, e_a), and
-#: their report keys.
-_PLANES = tuple((np.eye(DIM)[a], np.eye(DIM)[b]) for a, b in ((0, 1), (0, 2), (1, 2)))
-_SECTIONAL_TERMS = tensors.gather_table(
-    *(("...ijkl,i,j,k,l->...", None, x, y, y, x) for x, y in _PLANES)
-)
-_SECTIONAL_DENOMS = tuple(frame.plane_norm(x, y) for x, y in _PLANES)
+#: The report keys of the sectional curvatures k_ab, and the indices a and b
+#: of their basis planes span{e_a, e_b}.
 _SECTIONAL_KEYS = ("k_01", "k_02", "k_12")
+_A, _B = (0, 0, 1), (1, 2, 2)
 
 
 def _batches(batch: PointBatch, tol: float) -> list[PointAnalysis | Exception]:
@@ -147,8 +143,7 @@ def _analyze_field(sf: frame.StructureField, kappa: np.ndarray, ref: ModelRefere
     decomp = classifier.class_components(f, lee)
     labels = classifier.classify(decomp, classifier.classification_tol(f))
 
-    n_f = nijenhuis.nijenhuis_from_F(f)
-    hn_f = nijenhuis.assoc_nijenhuis_from_F(f)
+    n_f, hn_f = nijenhuis.nijenhuis_from_F(f)
     n_d, hn_d = nijenhuis.nijenhuis_direct(conn, sf)
 
     r4 = frame.curvature(conn, sf)
@@ -175,6 +170,7 @@ def _analyze_field(sf: frame.StructureField, kappa: np.ndarray, ref: ModelRefere
         "ricci_symmetry": tensors.symmetry_defect(rho),
         "space_form": frame.space_form_residual(r4, kappa),
     }
+    worst = functools.reduce(np.maximum, residuals.values())
     return PointAnalysis(
         field=sf,
         connection=conn,
@@ -189,17 +185,16 @@ def _analyze_field(sf: frame.StructureField, kappa: np.ndarray, ref: ModelRefere
         ricci_star=rho_star,
         tau=np.trace(rho, axis1=-2, axis2=-1),
         tau_star=np.trace(rho_star, axis1=-2, axis2=-1),
-        k=tuple(-2.0 * num / denom
-                for num, denom in zip(tensors.gather(r4, _SECTIONAL_TERMS, 4), _SECTIONAL_DENOMS)),
+        # (g^g)(e_a, e_b, e_b, e_a) = -2, so `frame.sectional` is R_abba; its
+        # einsum, like `+ 0.0`, reads a -0.0 entry as +0.0
+        k=r4[..., _A, _B, _B, _A] + 0.0,
         kappa=kappa,
         d_eta=frame.d_eta(conn),
         nabla_xi_xi=frame.nabla_xi_xi(conn),
         reference=ref,
         residuals=residuals,
-        status=[
-            "PASS" if worst <= tol else "FAIL"
-            for worst in functools.reduce(np.maximum, residuals.values())
-        ],
+        max_residual=worst,
+        status=["PASS" if w <= tol else "FAIL" for w in worst],
     )
 
 
@@ -244,7 +239,7 @@ def curvature_report(p: ModelPoint, tol: float) -> dict:
         "ricci_star": _entries("rho_star", a.ricci_star[0]),
         "tau": float(a.tau[0]),
         "tau_star": float(a.tau_star[0]),
-        **{key: float(kab[0]) for key, kab in zip(_SECTIONAL_KEYS, a.k)},
+        **dict(zip(_SECTIONAL_KEYS, a.k[0].tolist())),
         "kappa": float(a.kappa[0]),
         "space_form_residual": float(a.residuals["space_form"][0]),
         "status": a.status[0],
@@ -274,9 +269,7 @@ def _checks(model: str, a: PointAnalysis, tol: float) -> dict[str, float]:
             "ricci_star_vs_closed_form": max_abs(a.ricci_star - ref.ricci_star, 2),
             "tau_vs_closed_form": np.abs(a.tau - ref.tau),
             "tau_star_vs_closed_form": np.abs(a.tau_star - ref.tau_star),
-            "sectional_vs_closed_form": max_abs(
-                np.stack(a.k, axis=-1) - ref.sectional[:, None], 1
-            ),
+            "sectional_vs_closed_form": max_abs(a.k - ref.sectional[:, None], 1),
             "lee_params_vs_closed_form": max_abs(
                 np.stack([params[key] - val for key, val in ref.lee_params.items()], axis=-1), 1
             ),
@@ -514,12 +507,11 @@ def _batch_columns(b: PointAnalysis) -> list[list]:
         *(b.decomposition.params[key].tolist() for key in classifier.PARAMS),
         b.tau.tolist(),
         b.tau_star.tolist(),
-        *(kab.tolist() for kab in b.k),
+        *b.k.T.tolist(),
         res["space_form"].tolist(),
         *([v if abs(v) > REPORT_EPS else 0.0 for v in getattr(b, name)[(..., *idx)].tolist()]
           for _, name, idx in _SWEEP_ENTRIES),
-        # Python max over each point's residuals in their insertion order
-        [max(r) for r in zip(*(v.tolist() for v in res.values()))],
+        b.max_residual.tolist(),
     ]
 
 

@@ -91,6 +91,7 @@ def _arrays(a) -> dict[str, object]:
               "tau_star", "k", "kappa", "d_eta", "nabla_xi_xi"):
         out[k] = getattr(a, k)
     out.update({f"residual.{k}": v for k, v in a.residuals.items()})
+    out["max_residual"] = a.max_residual
     return out
 
 
@@ -195,7 +196,7 @@ def test_verify_fold_equals_its_points(chunk, tol):
 def _point_fields(a) -> dict:
     """The sweep fields of one point's own analysis, read field by field:
     the per-point definition the rows read off a batch must match."""
-    k01, k02, k12 = a.k
+    k01, k02, k12 = a.k.tolist()
     row = {
         "status": a.status,
         "warning": "",

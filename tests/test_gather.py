@@ -1,6 +1,8 @@
 """The constant phi, xi and eta are contracted by gather: each gather equals
 the einsum it replaces bit for bit, and so do the stage functions built
 from them, on batched tensors holding +0.0, -0.0 and exact cancellations.
+The report's sectional curvatures k_ab, read off R as R_abba, are
+`frame.sectional` of the basis planes bit for bit.
 
 The einsum formulas below are the oracle; they are the formulas the
 gathers were built from.
@@ -14,6 +16,7 @@ from hypothesis.extra.numpy import arrays
 
 from paraframe import classifier, nijenhuis, report
 from paraframe.frame import ConnectionCoeffs, StructureField, d_eta, lie_xi_g, sectional
+from paraframe.hypersurface import PointBatch, sample_points
 from paraframe.structure import ETA, PHI, XI
 from paraframe.tensors import gather, gather_table, max_abs
 
@@ -129,8 +132,9 @@ def test_classifier_stages_are_their_einsums(tensors):
 @settings(max_examples=100, deadline=None)
 def test_nijenhuis_stages_are_their_einsums(tensors):
     f, gamma, c = tensors
-    assert _same_bits(nijenhuis.nijenhuis_from_F(f), _oracle_nijenhuis_from_f(f))
-    assert _same_bits(nijenhuis.assoc_nijenhuis_from_F(f), _oracle_assoc_nijenhuis_from_f(f))
+    n, hn = nijenhuis.nijenhuis_from_F(f)
+    assert _same_bits(n, _oracle_nijenhuis_from_f(f))
+    assert _same_bits(hn, _oracle_assoc_nijenhuis_from_f(f))
     conn = ConnectionCoeffs(gamma=gamma, dgamma=np.zeros(gamma.shape[:-3] + (3,) * 4))
     sf = StructureField(c=c, dc=np.zeros(c.shape[:-3] + (3,) * 4))
     sym = gamma + np.swapaxes(gamma, -3, -2)
@@ -139,15 +143,26 @@ def test_nijenhuis_stages_are_their_einsums(tensors):
     assert _same_bits(hn, _oracle_torsion_like(sym, lie_xi_g(conn)))
 
 
+#: The basis planes (e_a, e_b) of the report's k_ab, in `_SECTIONAL_KEYS` order.
+_PLANES = [(np.eye(3)[a], np.eye(3)[b]) for a, b in zip(report._A, report._B)]
+
+
 @given(batches(4))
 @settings(max_examples=100, deadline=None)
-def test_sectional_gather_is_its_einsum(tensors):
-    # the report's k_ab are frame.sectional on the basis planes, bit for bit
+def test_sectional_basis_read_is_frame_sectional(tensors):
+    # the report reads k_ab as R_abba, which is frame.sectional bit for bit
     (r,) = tensors
-    nums = gather(r, report._SECTIONAL_TERMS, 4)
-    for (x, y), num, denom in zip(report._PLANES, nums, report._SECTIONAL_DENOMS):
-        assert _same_bits(num, np.einsum("...ijkl,i,j,k,l->...", r, x, y, y, x))
-        assert _same_bits(-2.0 * num / denom, sectional(r, x, y))
+    k = r[..., report._A, report._B, report._B, report._A] + 0.0
+    for j, (x, y) in enumerate(_PLANES):
+        assert _same_bits(k[..., j], sectional(r, x, y))
+
+
+@pytest.mark.parametrize("model", ["s1", "s2"])
+@pytest.mark.parametrize("r", [1e-3, 1.0, 1e4])
+def test_chunk_k_is_frame_sectional(model, r):
+    (a,) = report._analysed(PointBatch.of(sample_points(model, report.CHUNK, seed=5, r=r)), 1e-9)
+    for j, (x, y) in enumerate(_PLANES):
+        assert _same_bits(a.k[:, j], sectional(a.curvature, x, y))
 
 
 def test_gather_table_rejects_a_contraction_that_sums_or_scales():

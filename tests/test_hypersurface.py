@@ -28,7 +28,7 @@ from paraframe.hypersurface import (
     structure_field,
 )
 from paraframe.jets import TJet, _cut, partials
-from paraframe.nijenhuis import assoc_nijenhuis_from_F, nijenhuis_from_F
+from paraframe.nijenhuis import nijenhuis_from_F
 from paraframe.reference import model_reference
 from paraframe.report import analyze_point
 from paraframe.structure import PHI
@@ -81,6 +81,16 @@ def test_domain_rejections():
         mp("s2", -1.0, [0.5, 0.0, 0.0])  # radius must be positive
     with pytest.raises(ValueError):
         mp("nope", 1.0, [0.5, 0.0, 0.0])
+
+
+def test_model_point_copies_its_caller_array():
+    u = np.array([0.3, 0.7, 1.1])
+    p = ModelPoint("s1", 1.0, u)
+    assert p.u is not u and not p.u.flags.writeable
+    u[0] = 0.4  # the caller's array stays writable
+    assert p.u.tolist() == [0.3, 0.7, 1.1]
+    with pytest.raises(ValueError, match="read-only"):
+        p.u[0] = 0.4
 
 
 def test_on_sphere_everywhere():
@@ -416,7 +426,8 @@ def _stages(jet, sig) -> dict[str, np.ndarray]:
     out = dict(value=jet.value, d1=jet.d1, coords=jet.coords.c)
     out.update(a=fc.a, metric=fc.metric, c=sf.c, dc=sf.dc)
     out.update(gamma=conn.gamma, dgamma=conn.dgamma, f=f, r=r4)
-    out.update(n=nijenhuis_from_F(f), hn=assoc_nijenhuis_from_F(f))
+    n, hn = nijenhuis_from_F(f)
+    out.update(n=n, hn=hn)
     out.update(rho=contract_metric(r4), rho_star=contract_metric(r4, PHI))
     return out
 

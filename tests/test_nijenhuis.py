@@ -4,7 +4,7 @@ import numpy as np
 
 from conftest import pipeline
 from paraframe.frame import StructureField, d_eta, koszul, nabla_xi_xi
-from paraframe.nijenhuis import assoc_nijenhuis_from_F, nijenhuis_direct, nijenhuis_from_F
+from paraframe.nijenhuis import nijenhuis_direct, nijenhuis_from_F
 from paraframe.structure import ETA
 from paraframe.tensors import max_abs
 
@@ -20,14 +20,14 @@ def build_expected(entries: dict) -> np.ndarray:
 
 def test_nijenhuis_s1_quarter_turn():
     ctx = pipeline("s1", 1.0, [0.3, math.pi / 4, 1.1])
-    n = nijenhuis_from_F(ctx.f)
+    n, _ = nijenhuis_from_F(ctx.f)
     expected = build_expected({(0, 1, 0): 1.0, (1, 0, 0): -1.0})
     assert np.allclose(n, expected, atol=1e-12)
 
 
 def test_assoc_nijenhuis_s1_quarter_turn():
     ctx = pipeline("s1", 1.0, [0.3, math.pi / 4, 1.1])
-    hn = assoc_nijenhuis_from_F(ctx.f)
+    _, hn = nijenhuis_from_F(ctx.f)
     expected = build_expected(
         {
             (2, 2, 1): 4.0,
@@ -44,7 +44,7 @@ def test_assoc_nijenhuis_s1_quarter_turn():
 
 def test_nijenhuis_s2_log_two():
     ctx = pipeline("s2", 1.0, [LN2, 0.4, 0.9])
-    n = nijenhuis_from_F(ctx.f)
+    n, _ = nijenhuis_from_F(ctx.f)
     w = 16.0 / 15.0  # 2 / sinh(2 ln 2)
     expected = build_expected(
         {(1, 0, 1): w, (0, 1, 1): -w, (0, 2, 2): w, (2, 0, 2): -w}
@@ -54,7 +54,7 @@ def test_nijenhuis_s2_log_two():
 
 def test_assoc_nijenhuis_s2_log_two():
     ctx = pipeline("s2", 1.0, [LN2, 0.4, 0.9])
-    hn = assoc_nijenhuis_from_F(ctx.f)
+    _, hn = nijenhuis_from_F(ctx.f)
     w = 16.0 / 15.0
     expected = build_expected(
         {
@@ -71,8 +71,9 @@ def test_assoc_nijenhuis_s2_log_two():
 
 def test_zero_f_gives_zero():
     zero = np.zeros((3, 3, 3))
-    assert max_abs(nijenhuis_from_F(zero)) == 0.0
-    assert max_abs(assoc_nijenhuis_from_F(zero)) == 0.0
+    n, hn = nijenhuis_from_F(zero)
+    assert max_abs(n) == 0.0
+    assert max_abs(hn) == 0.0
 
 
 def test_direct_route_flat_frame():
