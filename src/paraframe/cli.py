@@ -56,13 +56,13 @@ class UsageError(Exception):
 class RunConfig:
     command: str
     model: str
-    r: float = 1.0
-    point: np.ndarray | None = None
-    grid: list[np.ndarray] | None = None
-    samples: int = 100
-    seed: int = 42
-    tol: float = 1e-9
-    fmt: str = "text"
+    r: float
+    point: np.ndarray | None
+    grid: list[np.ndarray] | None
+    samples: int
+    seed: int
+    tol: float
+    fmt: str
 
 
 def parse_point(text: str) -> np.ndarray:
@@ -124,6 +124,7 @@ def read_config_file(path: str) -> dict[str, str]:
 
 
 _CONFIG_KEYS = ("model", "r", "point", "grid", "samples", "seed", "tol", "format")
+FORMATS = ("json", "csv", "text")  # the choices of --format
 
 
 @functools.cache
@@ -154,15 +155,13 @@ def build_parser() -> argparse.ArgumentParser:
         ("sweep", "evaluate a report row per grid point", grid),
     ):
         cmd = sub.add_parser(name, help=text)
-        # flags a command does not take still read as None in make_config
-        cmd.set_defaults(point=None, grid=None, samples=None, seed=None)
         cmd.add_argument("--model", choices=sorted(MODELS))
-        cmd.add_argument("--r", type=float, default=None, help="radius (default 1)")
+        cmd.add_argument("--r", type=float, help="radius (default 1)")
         for flag, kwargs in own:
             cmd.add_argument(flag, **kwargs)
-        cmd.add_argument("--tol", type=float, default=None, help="residual tolerance")
-        cmd.add_argument("--format", choices=("json", "csv", "text"), default=None)
-        cmd.add_argument("--config", default=None, help="key = value config file")
+        cmd.add_argument("--tol", type=float, help="residual tolerance")
+        cmd.add_argument("--format", choices=FORMATS)
+        cmd.add_argument("--config", help="key = value config file")
     return parser
 
 
@@ -174,7 +173,9 @@ def make_config(args: argparse.Namespace) -> RunConfig:
         if unknown:
             raise UsageError(f"unknown config keys: {', '.join(sorted(unknown))}")
 
-    def pick(flag, key, cast):
+    def pick(key, cast, default=None):
+        # every flag's dest is its key; a flag the command lacks reads as absent
+        flag = getattr(args, key, None)
         if flag is not None:
             return cast(flag)
         if key in file_values:
@@ -183,46 +184,34 @@ def make_config(args: argparse.Namespace) -> RunConfig:
                 return cast(raw)
             except (ValueError, UsageError) as exc:
                 raise UsageError(f"bad config value for {key}: {exc}") from exc
-        return None
+        return default
 
     def source(key):
-        return f"--{key}" if getattr(args, key) is not None else f"config key {key}"
+        return f"--{key}" if getattr(args, key, None) is not None else f"config key {key}"
 
-    model = pick(args.model, "model", str)
+    model = pick("model", str)
     if model is None:
         raise UsageError("--model is required (flag or config file)")
     if model not in MODELS:
         raise UsageError(f"unknown model {model!r}")
-
-    cfg = RunConfig(command=args.command, model=model)
-    r = pick(args.r, "r", float)
-    if r is not None:
-        cfg.r = r
-    if not (math.isfinite(cfg.r) and cfg.r > 0):
-        raise UsageError(f"radius must be positive and finite, got {cfg.r}")
-    cfg.point = pick(args.point, "point", parse_point)
-    cfg.grid = pick(args.grid, "grid", parse_grid)
-    samples = pick(args.samples, "samples", int)
-    if samples is not None:
-        if samples < 1:
-            raise UsageError(f"{source('samples')} must be >= 1")
-        cfg.samples = samples
-    seed = pick(args.seed, "seed", int)
-    if seed is not None:
-        if seed < 0:
-            raise UsageError(f"{source('seed')} must be >= 0, got {seed}")
-        cfg.seed = seed
-    tol = pick(args.tol, "tol", float)
-    if tol is not None:
-        if not (math.isfinite(tol) and tol > 0):
-            raise UsageError(f"{source('tol')} must be positive and finite")
-        cfg.tol = tol
-    fmt = pick(args.format, "format", str)
-    if fmt is not None:
-        if fmt not in ("json", "csv", "text"):
-            raise UsageError(f"unknown format {fmt!r}")
-        cfg.fmt = fmt
-    return cfg
+    r = pick("r", float, 1.0)
+    if not (math.isfinite(r) and r > 0):
+        raise UsageError(f"radius must be positive and finite, got {r}")
+    point = pick("point", parse_point)
+    grid = pick("grid", parse_grid)
+    samples = pick("samples", int, 100)
+    if samples < 1:
+        raise UsageError(f"{source('samples')} must be >= 1")
+    seed = pick("seed", int, 42)
+    if seed < 0:
+        raise UsageError(f"{source('seed')} must be >= 0, got {seed}")
+    tol = pick("tol", float, 1e-9)
+    if not (math.isfinite(tol) and tol > 0):
+        raise UsageError(f"{source('tol')} must be positive and finite")
+    fmt = pick("format", str, "text")
+    if fmt not in FORMATS:
+        raise UsageError(f"unknown format {fmt!r}")
+    return RunConfig(args.command, model, r, point, grid, samples, seed, tol, fmt)
 
 
 def _emit(report: dict, fmt: str) -> None:

@@ -30,7 +30,7 @@ from .frame import StructureField
 from .jets import ORDER, TJet, _cut, _elementwise, partials, scatter_add
 from .reference import ModelReference, _square, s1_identities, s1_reference, s2_identities
 from .reference import s2_reference
-from .tensors import DIM
+from .tensors import DIM, _frozen
 
 if TYPE_CHECKING:  # report imports this module
     from .report import PointAnalysis
@@ -218,9 +218,8 @@ class ModelPoint:
     u: np.ndarray
 
     def __post_init__(self):
-        u = np.array(self.u, dtype=float)
+        u = _frozen(self.u)
         check_point(self.model, self.r, u if u.shape == (3,) else ())  # () is not 3 parameters
-        u.flags.writeable = False
         object.__setattr__(self, "u", u)
 
     @property
@@ -244,12 +243,11 @@ class PointBatch:
     def __post_init__(self):
         if self.model not in MODELS:
             raise ValueError(f"unknown model {self.model!r}; choose from {sorted(MODELS)}")
-        r, u = np.array(self.r, dtype=float), np.array(self.u, dtype=float)
+        r, u = _frozen(self.r), _frozen(self.u)
         if r.ndim != 1 or u.shape != r.shape + (3,):
             raise ValueError(f"a batch needs r (n,) and u (n, 3), got {r.shape} and {u.shape}")
-        for name, a in (("r", r), ("u", u)):
-            a.flags.writeable = False
-            object.__setattr__(self, name, a)
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "u", u)
 
     @classmethod
     def of(cls, points: Sequence[ModelPoint]) -> PointBatch:
@@ -485,8 +483,10 @@ def structure_field(p: ModelPoint) -> StructureField:
     return bracket_field(fc)
 
 
-def sample_points(model: str, n: int, seed: int, r: float = 1.0) -> list[ModelPoint]:
-    """Deterministic valid parameter points, n draws of the model's sampler."""
+def sample_points(model: str, n: int, seed: int | np.random.Generator,
+                  r: float = 1.0) -> list[ModelPoint]:
+    """Deterministic valid parameter points, n draws of the model's sampler
+    from seed: an int, or a Generator it draws from (and so advances)."""
     if model not in MODELS:
         raise ValueError(f"unknown model {model!r}")
     rng = np.random.default_rng(seed)

@@ -31,9 +31,9 @@ if TYPE_CHECKING:  # hypersurface imports this module
 @dataclass(frozen=True, eq=False)
 class ModelReference:
     """Expected frame tensors of a model at one point, or at each point of a
-    batch: then every array, `tau`, `tau_star`, `sectional` and every value
-    of `lee_params` included, has a leading point axis, and `classes`, the
-    model's own, is shared; at one point nothing has a point axis.
+    batch.  Every field but `classes`, the model's own, and every value of
+    `lee_params` is a read-only array: with a leading point axis for a
+    batch, 0-d (`tau`, ...) or without a point axis at one point.
 
     c[..., i, j, k] and dc[..., l, i, j, k] are the bracket data of the
     orthonormal frame, laid out like StructureField.
@@ -57,11 +57,15 @@ class ModelReference:
     nabla_xi_xi: np.ndarray
 
     def __post_init__(self):
-        # read-only: every check of a chunk reads these same targets
-        for value in (*vars(self).values(), *self.lee_params.values()):
+        # read-only arrays, 0-d at one point, frozen in place (np.asarray
+        # copies no array): every check of a chunk reads these same targets
+        params = {k: np.asarray(v) for k, v in self.lee_params.items()}
+        for name in vars(self).keys() - {"classes", "lee_params"}:
+            object.__setattr__(self, name, np.asarray(getattr(self, name)))
+        for value in (*vars(self).values(), *params.values()):
             if isinstance(value, np.ndarray):
                 value.setflags(write=False)
-        object.__setattr__(self, "lee_params", MappingProxyType(self.lee_params))
+        object.__setattr__(self, "lee_params", MappingProxyType(params))
 
 
 #: d_ik d_jl - d_il d_jk, the curvature tensor of unit constant curvature
@@ -74,6 +78,21 @@ _DD = np.einsum("ik,jl->ijkl", np.eye(DIM), np.eye(DIM)) - np.einsum(
 def _square(x: float) -> float:
     """Python's x**2, which is not always bitwise x * x."""
     return x**2
+
+
+def _space_form(sign: float, r2: np.ndarray) -> dict[str, np.ndarray]:
+    """Curvature targets of the space form of sectional curvature sign / r2
+    (sign +-1, r2 = r**2), each (c * sign) / r2: bitwise c / r2 with c signed."""
+    rho_star = np.zeros(r2.shape + (DIM, DIM))
+    rho_star[..., 1, 2] = rho_star[..., 2, 1] = -1.0 * sign / r2
+    return {
+        "curvature": (-1.0 * sign / r2)[..., None, None, None, None] * _DD,
+        "ricci": (2.0 * sign / r2)[..., None, None] * np.eye(DIM),
+        "ricci_star": rho_star,
+        "tau": 6.0 * sign / r2,
+        "tau_star": np.zeros(r2.shape),
+        "sectional": 1.0 * sign / r2,
+    }
 
 
 # The closed forms take r (...) and u (..., 3) for any leading point axes.
@@ -127,10 +146,6 @@ def s1_reference(r: float | np.ndarray, u: np.ndarray) -> ModelReference:
     hn[..., 0, 0, 1] = -2.0 * a
     hn[..., 0, 1, 0] = hn[..., 1, 0, 0] = a
 
-    rho = (2.0 / r2)[..., None, None] * np.eye(DIM)
-    rho_star = np.zeros(shape + (DIM, DIM))
-    rho_star[..., 1, 2] = rho_star[..., 2, 1] = -1.0 / r2
-
     deta = np.zeros(shape + (DIM, DIM))
     deta[..., 0, 1] = -a
     deta[..., 1, 0] = a
@@ -147,12 +162,7 @@ def s1_reference(r: float | np.ndarray, u: np.ndarray) -> ModelReference:
         f=f,
         nijenhuis=n,
         assoc_nijenhuis=hn,
-        curvature=(-1.0 / r2)[..., None, None, None, None] * _DD,
-        ricci=rho,
-        ricci_star=rho_star,
-        tau=6.0 / r2,
-        tau_star=zero,
-        sectional=1.0 / r2,
+        **_space_form(1.0, r2),
         classes=(1, 11),
         lee_params={**dict.fromkeys(PARAMS, zero), "theta_2": -2.0 * b, "omega_2": a},
         d_eta=deta,
@@ -206,10 +216,6 @@ def s2_reference(r: float | np.ndarray, u: np.ndarray) -> ModelReference:
     hn[..., 2, 0, 2] = hn[..., 0, 2, 2] = -w
     hn[..., 1, 1, 0] = hn[..., 2, 2, 0] = -2.0 * (c + t)
 
-    rho = (-2.0 / r2)[..., None, None] * np.eye(DIM)
-    rho_star = np.zeros(shape + (DIM, DIM))
-    rho_star[..., 1, 2] = rho_star[..., 2, 1] = 1.0 / r2
-
     zero = np.zeros(shape)
     return ModelReference(
         c=bc,
@@ -218,12 +224,7 @@ def s2_reference(r: float | np.ndarray, u: np.ndarray) -> ModelReference:
         f=f,
         nijenhuis=n,
         assoc_nijenhuis=hn,
-        curvature=(1.0 / r2)[..., None, None, None, None] * _DD,
-        ricci=rho,
-        ricci_star=rho_star,
-        tau=-6.0 / r2,
-        tau_star=zero,
-        sectional=-1.0 / r2,
+        **_space_form(-1.0, r2),
         classes=(5, 9),
         lee_params={**dict.fromkeys(PARAMS, zero), "theta_star_0": -(c + t),
                     "mu": 0.5 * (t - c)},

@@ -290,12 +290,15 @@ def _checks(model: str, a: PointAnalysis, tol: float) -> dict[str, float]:
 
 
 def run_verify(model: str, r: float, samples: int, seed: int, tol: float) -> dict:
-    """Evaluate every identity at seeded sample points, CHUNK points at a
-    time; PASS iff all within tol."""
-    points = PointBatch.of(sample_points(model, samples, seed, r=r))
+    """Evaluate every identity at seeded sample points, drawn and analysed
+    CHUNK points at a time from one stream; PASS iff all within tol."""
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
+    rng = np.random.default_rng(seed)
     worst: dict[str, float] = {}
-    for start in range(0, len(points), CHUNK):
-        for b in _analysed(points[start : start + CHUNK], tol):
+    for start in range(0, samples, CHUNK):
+        chunk = sample_points(model, min(CHUNK, samples - start), rng, r=r)
+        for b in _analysed(PointBatch.of(chunk), tol):
             for name, value in _checks(model, b, tol).items():
                 worst[name] = max(worst.get(name, 0.0), value)
     checks = [

@@ -8,7 +8,8 @@ import warnings
 
 import pytest
 
-from paraframe.cli import main
+from paraframe import report
+from paraframe.cli import build_parser, main, make_config
 from paraframe.report import render_json
 
 
@@ -248,6 +249,37 @@ def test_sweep_memory_does_not_grow_with_its_axes():
 
 
 # a sweep's point that overflows is a FAIL row: test_sweep_failing_points_are_fail_rows
+#: Bound on how much more `run_verify` may hold at its peak while it draws
+#: 2,000 samples than while it draws 400.  It draws and analyses CHUNK
+#: samples at a time; the analysis is stubbed out, as test_batch.py's
+#: test_full_chunk_memory_peak bounds its one chunk.  Measured (Python 3.11,
+#: numpy 2.4) the peak does not grow; drawing every sample before analysing
+#: any grew it by about 315 B per sample, 1.1 MB from 400 to 4,000.
+VERIFY_PEAK_MARGIN = 64 * 1024
+
+
+def _verify_peak(samples: int) -> int:
+    """The tracemalloc peak of an s1 verify of that many samples."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        report.run_verify("s1", 1.0, samples, 1, 1e-9)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    return peak - before
+
+
+def test_verify_memory_does_not_grow_with_its_samples(monkeypatch):
+    monkeypatch.setattr(report, "_analysed", lambda batch, tol: [])
+    _verify_peak(400)  # one-off allocations outside the window
+    assert _verify_peak(2000) - _verify_peak(400) <= VERIFY_PEAK_MARGIN
+
+
 @pytest.mark.parametrize("command, flag", [("classify", "--point")])
 def test_overflow_is_an_error_not_a_crash(capsys, command, flag):
     # cosh(800) overflows a float: exit 2 with one error line, not a traceback
@@ -277,6 +309,17 @@ def test_config_file_and_flag_override(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "classify", "--config", str(cfg), "--r", "2.5")
     rep = json.loads(out)
     assert rep["r"] == 2.5
+
+
+def test_defaults_where_neither_flag_nor_config_gives_a_value():
+    cfg = make_config(build_parser().parse_args(["verify", "--model", "s1"]))
+    assert (cfg.r, cfg.samples, cfg.seed, cfg.tol, cfg.fmt) == (1.0, 100, 42, 1e-9, "text")
+    assert (type(cfg.r), type(cfg.samples), type(cfg.seed), type(cfg.tol)) == (float, int, int, float)
+    assert cfg.point is None and cfg.grid is None
+    # classify takes no --samples or --seed, yet reads their defaults
+    args = build_parser().parse_args(["classify", "--model", "s1", "--point", "0.3,0.7,1.1"])
+    cfg = make_config(args)
+    assert (cfg.samples, cfg.seed) == (100, 42)
 
 
 def test_config_rejects_unknown_keys(tmp_path, capsys):

@@ -24,6 +24,14 @@ def test_sample_points_deterministic_per_seed(model):
 
 
 @pytest.mark.parametrize("model", sorted(MODELS))
+def test_sample_points_from_a_generator_continue_its_stream(model):
+    # draws in pieces from one Generator are the draws of its seed at once
+    rng = np.random.default_rng(7)
+    pieces = sample_points(model, 5, rng) + sample_points(model, 11, rng)
+    assert [p.u.tobytes() for p in pieces] == [p.u.tobytes() for p in sample_points(model, 16, 7)]
+
+
+@pytest.mark.parametrize("model", sorted(MODELS))
 @pytest.mark.parametrize("r", [0.5, 2.0])
 def test_verify_passes(model, r):
     report = run_verify(model, r, 32, 3, 1e-9)

@@ -87,6 +87,19 @@ def test_shared_references_are_each_points_own_and_read_only(model):
                     got[...] = 0.0
 
 
+@pytest.mark.parametrize("model", sorted(MODELS))
+def test_a_point_reference_holds_read_only_arrays(model):
+    # 0-d at one point, whether a value's formula is a constant or of u
+    ref = model_reference(sample_points(model, 1, 0)[0])
+    values = {f.name: getattr(ref, f.name) for f in fields(ref)
+              if f.name not in ("classes", "lee_params")}
+    values.update(ref.lee_params)
+    for name, value in values.items():
+        assert type(value) is np.ndarray, name
+        assert not value.flags.writeable, name
+    assert (ref.tau.shape, ref.lee_params["lam"].shape, ref.c.shape) == ((), (), (3, 3, 3))
+
+
 @pytest.mark.parametrize("command", ["classify", "curvature"])
 def test_a_point_command_builds_one_reference(command, capsys):
     # the report reads row 0 of the one-point batch, so the closed form's
@@ -109,3 +122,9 @@ def test_verify_runs_its_samples_in_chunks(model):
     assert [len(chunk) for chunk in chunks] == [CHUNK, 70 - CHUNK]
     assert np.array_equal(np.concatenate([chunk.u for chunk in chunks]),
                           [p.u for p in sample_points(model, 70, 0)])
+
+
+@pytest.mark.parametrize("samples", [0, -1])
+def test_verify_needs_a_sample(samples):
+    with pytest.raises(ValueError, match=r"^samples must be >= 1$"):
+        report.run_verify("s1", 1.0, samples, 0, TOL)
