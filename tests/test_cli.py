@@ -248,7 +248,6 @@ def test_sweep_memory_does_not_grow_with_its_axes():
     assert growth <= SWEEP_AXIS_MARGIN
 
 
-# a sweep's point that overflows is a FAIL row: test_sweep_failing_points_are_fail_rows
 #: Bound on how much more `run_verify` may hold at its peak while it draws
 #: 2,000 samples than while it draws 400.  It draws and analyses CHUNK
 #: samples at a time; the analysis is stubbed out, as test_batch.py's
@@ -280,6 +279,7 @@ def test_verify_memory_does_not_grow_with_its_samples(monkeypatch):
     assert _verify_peak(2000) - _verify_peak(400) <= VERIFY_PEAK_MARGIN
 
 
+# a sweep's point that overflows is a FAIL row: test_sweep_failing_points_are_fail_rows
 @pytest.mark.parametrize("command, flag", [("classify", "--point")])
 def test_overflow_is_an_error_not_a_crash(capsys, command, flag):
     # cosh(800) overflows a float: exit 2 with one error line, not a traceback
