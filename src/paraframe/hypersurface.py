@@ -21,6 +21,7 @@ point alone.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Sequence
 
@@ -157,18 +158,19 @@ def _validate_s2(u: Sequence[float]) -> None:
         raise DomainError(f"s2 parameter u2 = {u[1]} outside [0, 2*pi)")
 
 
-def _sample_s1(rng: np.random.Generator) -> np.ndarray:
+def _sample_s1(rng: random.Random) -> tuple[float, float, float]:
     """All four u1 quadrants."""
-    quadrant = int(rng.integers(0, 4))
-    u1 = quadrant * math.pi / 2 + rng.uniform(SAMPLE_MARGIN, math.pi / 2 - SAMPLE_MARGIN)
-    return np.array([rng.uniform(0.0, TWO_PI), u1, rng.uniform(0.0, TWO_PI)])
+    quarter = math.pi / 2.0
+    quadrant = int(4.0 * rng.random())
+    u1 = quadrant * quarter + SAMPLE_MARGIN + (quarter - 2.0 * SAMPLE_MARGIN) * rng.random()
+    return TWO_PI * rng.random(), u1, TWO_PI * rng.random()
 
 
-def _sample_s2(rng: np.random.Generator) -> np.ndarray:
+def _sample_s2(rng: random.Random) -> tuple[float, float, float]:
     """Both u1 branches."""
-    branch = 1.0 if rng.uniform() < 0.5 else -1.0
-    u1 = branch * rng.uniform(SAMPLE_MARGIN, 2.5)
-    return np.array([u1, rng.uniform(0.0, TWO_PI), rng.uniform(-2.5, 2.5)])
+    positive = rng.random() < 0.5
+    u1 = SAMPLE_MARGIN + (2.5 - SAMPLE_MARGIN) * rng.random()
+    return u1 if positive else -u1, TWO_PI * rng.random(), -2.5 + 5.0 * rng.random()
 
 
 @dataclass(frozen=True)
@@ -177,7 +179,7 @@ class ModelSpec:
     sphere_sign: int  # <z, z> = sphere_sign * r^2
     coords: Callable[[float | np.ndarray, Sequence[TJet]], list[TJet]]  # r per point
     validate: Callable[[Sequence[float]], None]  # u: an array or 3 Python floats
-    sample: Callable[[np.random.Generator], np.ndarray]  # SAMPLE_MARGIN inside the domain
+    sample: Callable[[random.Random], tuple[float, float, float]]  # SAMPLE_MARGIN inside domain
     closed_form: Callable[[float | np.ndarray, np.ndarray], ModelReference]  # r (...), u (..., 3)
     identities: Callable[[PointAnalysis], dict[str, np.ndarray]]  # residuals per point
 
@@ -203,9 +205,14 @@ def check_point(model: str, r: float, u: Sequence[float]) -> None:
         raise ValueError(f"unknown model {model!r}; choose from {sorted(MODELS)}")
     if len(u) != 3 or not all(map(math.isfinite, u)):
         raise ValueError("u must be 3 finite parameters")
+    check_radius(r)
+    MODELS[model].validate(u)
+
+
+def check_radius(r: float) -> None:
+    """Raise the DomainError of a radius that is not positive and finite."""
     if not (math.isfinite(r) and r > 0.0):
         raise DomainError(f"radius must be positive, got {r}")
-    MODELS[model].validate(u)
 
 
 @dataclass(frozen=True, eq=False)
@@ -483,11 +490,19 @@ def structure_field(p: ModelPoint) -> StructureField:
     return bracket_field(fc)
 
 
-def sample_points(model: str, n: int, seed: int | np.random.Generator,
-                  r: float = 1.0) -> list[ModelPoint]:
-    """Deterministic valid parameter points, n draws of the model's sampler
-    from seed: an int, or a Generator it draws from (and so advances)."""
+def sample_u(model: str, n: int, rng: random.Random) -> np.ndarray:
+    """The parameters (n, 3) of n draws of the model's sampler from rng, in
+    order; each draw is SAMPLE_MARGIN inside the domain by construction."""
     if model not in MODELS:
         raise ValueError(f"unknown model {model!r}")
-    rng = np.random.default_rng(seed)
-    return [ModelPoint(model=model, r=r, u=MODELS[model].sample(rng)) for _ in range(n)]
+    sample = MODELS[model].sample
+    return np.array([sample(rng) for _ in range(n)]).reshape(n, 3)
+
+
+def sample_points(model: str, n: int, seed: int | random.Random,
+                  r: float = 1.0) -> list[ModelPoint]:
+    """Deterministic valid parameter points, n draws of the model's sampler
+    from seed: an int, whose stream is Python's `random.Random(seed)`, or a
+    `random.Random` it draws from (and so advances)."""
+    rng = seed if isinstance(seed, random.Random) else random.Random(seed)
+    return [ModelPoint(model=model, r=r, u=u) for u in sample_u(model, n, rng)]

@@ -11,14 +11,15 @@ streamed a chunk at a time by `SweepText` under the same rules and bytes.
 from __future__ import annotations
 
 import functools
+import random
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 import numpy as np
 
 from . import classifier, frame, nijenhuis, tensors
-from .hypersurface import MODELS, ModelPoint, PointBatch, bracket_field, check_point, immerse
-from .hypersurface import orthonormal_frame, sample_points, sphere_residual
+from .hypersurface import MODELS, ModelPoint, PointBatch, bracket_field, check_point
+from .hypersurface import check_radius, immerse, orthonormal_frame, sample_u, sphere_residual
 from .reference import ModelReference, model_reference
 from .structure import PHI, metric_compat
 from .tensors import DIM, max_abs
@@ -91,11 +92,18 @@ _SECTIONAL_KEYS = ("k_01", "k_02", "k_12")
 _A, _B = (0, 0, 1), (1, 2, 2)
 
 
-def _batches(batch: PointBatch, tol: float) -> list[PointAnalysis | Exception]:
-    """The batched analysis of one chunk: the jet front (immerse,
+#: A failing batch of at most this many points whose two halves both fail
+#: has each of its points analysed alone.  Halving every failing batch down
+#: to single points costs 2n - 1 front calls when every point of n fails;
+#: for n = 64 this rule needs 79, not 127, and one failing point of 64 still
+#: costs 13, down the halves that hold it.
+POINTWISE = 16
+
+
+def _attempt(batch: PointBatch, tol: float) -> PointAnalysis | Exception:
+    """The batched analysis of a batch: the jet front (immerse,
     orthonormal_frame, bracket_field), the closed form and their residuals,
-    then `_analyze_field`; if the chunk raises, the batches of its two halves
-    instead, and a point that raises on its own is its error, in its place."""
+    then `_analyze_field`; or the error the batch raises."""
     try:
         spec = batch.spec
         jet = immerse(batch)
@@ -111,15 +119,40 @@ def _batches(batch: PointBatch, tol: float) -> list[PointAnalysis | Exception]:
             "bracket_vs_closed_form": max_abs(sf.c - ref.c, 3),
             "bracket_deriv_vs_closed_form": max_abs(sf.dc - ref.dc, 4),
         }
-        analysis = _analyze_field(sf, spec.kappa(batch.r), ref, residuals, tol)
+        return _analyze_field(sf, spec.kappa(batch.r), ref, residuals, tol)
     except (ValueError, ArithmeticError, RuntimeWarning) as exc:
         # RuntimeWarning is raised only where warnings are errors; a batched
         # stage meets one point's overflow before another point's error
-        if len(batch) == 1:
-            return [exc]
-        half = len(batch) // 2
-        return _batches(batch[:half], tol) + _batches(batch[half:], tol)
-    return [analysis]
+        return exc
+
+
+def _batches(batch: PointBatch, tol: float) -> list[PointAnalysis | Exception]:
+    """The batched analysis of one chunk; if the chunk raises, the batches of
+    its parts instead (`_split`), and a point that raises on its own is its
+    error, in its place."""
+    a = _attempt(batch, tol)
+    return _split(batch, tol) if isinstance(a, Exception) and len(batch) > 1 else [a]
+
+
+def _split(batch: PointBatch, tol: float) -> list[PointAnalysis | Exception]:
+    """`_batches` of a failing batch of two or more points: the batches of
+    its two halves, except where both halves of a batch of at most POINTWISE
+    points fail, whose points are then analysed alone."""
+    half = len(batch) // 2
+    parts = (batch[:half], batch[half:])
+    if len(batch) > POINTWISE:
+        return _batches(parts[0], tol) + _batches(parts[1], tol)
+    tried = [_attempt(part, tol) for part in parts]
+    both_fail = all(isinstance(t, Exception) for t in tried)
+    out: list[PointAnalysis | Exception] = []
+    for part, t in zip(parts, tried):
+        if not isinstance(t, Exception) or len(part) == 1:
+            out.append(t)
+        elif both_fail:
+            out.extend(_attempt(part[n : n + 1], tol) for n in range(len(part)))
+        else:
+            out.extend(_split(part, tol))
+    return out
 
 
 def _analysed(batch: PointBatch, tol: float) -> list[PointAnalysis]:
@@ -134,7 +167,7 @@ def _analysed(batch: PointBatch, tol: float) -> list[PointAnalysis]:
 
 def _analyze_field(sf: frame.StructureField, kappa: np.ndarray, ref: ModelReference,
                    residuals: dict[str, np.ndarray], tol: float) -> PointAnalysis:
-    """The algebraic tail of `_batches` on a batched StructureField; `ref` is
+    """The algebraic tail of `_attempt` on a batched StructureField; `ref` is
     stored as given, and the front's `residuals` come first."""
     conn = frame.koszul(sf)
 
@@ -251,9 +284,10 @@ def curvature_report(p: ModelPoint, tol: float) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _checks(model: str, a: PointAnalysis, tol: float) -> dict[str, float]:
-    """Every identity residual of a batched analysis, closed-form targets
-    included, each maximised over the batch's points."""
+def _checks(model: str, a: PointAnalysis, tol: float) -> tuple[list[str], np.ndarray]:
+    """The name of every identity residual of a batched analysis, closed-form
+    targets included, and each one's maximum over the batch's points (NaN
+    where a point's residual is NaN)."""
     ref = a.reference
     params = a.decomposition.params
     components = a.decomposition.components
@@ -286,24 +320,27 @@ def _checks(model: str, a: PointAnalysis, tol: float) -> dict[str, float]:
         }
     )
     checks.update(MODELS[model].identities(a))
-    return {name: float(np.max(v)) for name, v in checks.items()}
+    return list(checks), np.max(np.stack(list(checks.values())), axis=1)
 
 
 def run_verify(model: str, r: float, samples: int, seed: int, tol: float) -> dict:
     """Evaluate every identity at seeded sample points, drawn and analysed
-    CHUNK points at a time from one stream; PASS iff all within tol."""
+    CHUNK points at a time from one `random.Random(seed)`; PASS iff all
+    within tol."""
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    rng = np.random.default_rng(seed)
-    worst: dict[str, float] = {}
+    check_radius(r)  # the draws are in the domain by construction
+    rng = random.Random(seed)
+    names, worst = [], np.empty(0)
     for start in range(0, samples, CHUNK):
-        chunk = sample_points(model, min(CHUNK, samples - start), rng, r=r)
-        for b in _analysed(PointBatch.of(chunk), tol):
-            for name, value in _checks(model, b, tol).items():
-                worst[name] = max(worst.get(name, 0.0), value)
+        k = min(CHUNK, samples - start)
+        for b in _analysed(PointBatch(model, np.full(k, r), sample_u(model, k, rng)), tol):
+            names, values = _checks(model, b, tol)
+            # np.maximum, unlike max(), keeps a NaN, so a NaN residual fails
+            worst = np.maximum(worst, values) if worst.size else values
     checks = [
         {"name": name, "max_residual": value, "pass": value <= tol}
-        for name, value in worst.items()
+        for name, value in zip(names, worst.tolist())
     ]
     failed = [c["name"] for c in checks if not c["pass"]]
     return {

@@ -68,10 +68,12 @@ def _point(model: str, r: float, u) -> ModelPoint | None:
 
 
 @st.composite
-def chunks(draw) -> list[ModelPoint]:
-    """1 to CHUNK accepted points of one model, each at its own radius."""
+def chunks(draw, one_radius: bool = False) -> list[ModelPoint]:
+    """1 to CHUNK accepted points of one model, each at its own radius, or
+    all at one radius, as a verify call draws them."""
     model = draw(st.sampled_from(sorted(PARAMS)))
-    point = st.builds(_point, st.just(model), st.sampled_from(RADII), PARAMS[model])
+    radius = st.just(draw(st.sampled_from(RADII))) if one_radius else st.sampled_from(RADII)
+    point = st.builds(_point, st.just(model), radius, PARAMS[model])
     return draw(st.lists(point.filter(lambda p: p is not None), min_size=1, max_size=CHUNK))
 
 
@@ -166,14 +168,16 @@ def _folded_points(chunk: list[ModelPoint], tol: float) -> list[tuple[str, int, 
     worst: dict[str, float] = {}
     for a in [analyze_point(p, tol) for p in chunk]:
         for name, value in _point_checks(chunk[0].model, a, tol).items():
-            worst[name] = max(worst.get(name, 0.0), value)
+            # np.maximum, unlike max(), keeps a NaN: a NaN residual is the worst
+            worst[name] = float(np.maximum(worst[name], value)) if name in worst else value
     return [(name, _bits(v).item(), v <= tol) for name, v in worst.items()]
 
 
 def _folded_batch(chunk: list[ModelPoint], tol: float) -> list[tuple[str, int, bool]]:
-    # run_verify over exactly these points: one chunk, in order
-    with mock.patch("paraframe.report.sample_points", lambda *args, **kw: chunk):
-        checks = run_verify(chunk[0].model, 1.0, len(chunk), 0, tol)["checks"]
+    # run_verify over exactly these points: one chunk, in order, at their radius
+    u = np.array([p.u for p in chunk])
+    with mock.patch("paraframe.report.sample_u", lambda *args: u):
+        checks = run_verify(chunk[0].model, chunk[0].r, len(chunk), 0, tol)["checks"]
     for c in checks:
         assert type(c["max_residual"]) is float and type(c["pass"]) is bool
     return [(c["name"], _bits(c["max_residual"]).item(), c["pass"]) for c in checks]
@@ -181,8 +185,8 @@ def _folded_batch(chunk: list[ModelPoint], tol: float) -> list[tuple[str, int, b
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(chunks(), st.sampled_from((TOL, 1e-30)))
-@example([ModelPoint("s2", 1.0, [0.5, 1.0, 20.0]), ModelPoint("s2", 1e4, [0.5, 1.0, 709.0])], TOL)
+@given(chunks(one_radius=True), st.sampled_from((TOL, 1e-30)))
+@example([ModelPoint("s2", 1e4, [0.5, 1.0, 20.0]), ModelPoint("s2", 1e4, [0.5, 1.0, 709.0])], TOL)
 # chunks that pass: the sampled box, where every check is within 1e-9
 @example(sample_points("s1", CHUNK, seed=3), TOL)
 @example(sample_points("s2", 3, seed=4, r=2.0), TOL)
@@ -191,6 +195,27 @@ def test_verify_fold_equals_its_points(chunk, tol):
     batch, batch_error = _outcome(lambda: _folded_batch(chunk, tol))
     assert batch_error == single_error
     assert batch == singles
+
+
+@pytest.mark.parametrize("samples, nan_call", [(8, 0), (100, 0), (100, 1)])
+def test_verify_fold_keeps_a_nan(samples, nan_call):
+    # one point's NaN space_form residual, in the first or the second chunk,
+    # is the check's max_residual and fails it (Python's max(0.0, nan) is 0.0)
+    original, calls = report.frame.space_form_residual, []
+
+    def space_form(*args):
+        res = original(*args)
+        if len(calls) == nan_call:
+            res[-1] = math.nan
+        calls.append(res)
+        return res
+
+    with mock.patch.object(report.frame, "space_form_residual", space_form):
+        out = run_verify("s1", 1.0, samples, 1, TOL)
+    assert len(calls) == -(-samples // CHUNK)
+    (check,) = [c for c in out["checks"] if c["name"] == "space_form"]
+    assert math.isnan(check["max_residual"]) and check["pass"] is False
+    assert out["failed"] == ["space_form"] and out["status"] == "FAIL"
 
 
 def _point_fields(a) -> dict:
@@ -377,3 +402,17 @@ def test_a_failing_point_bisects_its_chunk():
     assert [row[3] for row in rows] == ["PASS"] * 40 + ["FAIL"] + ["PASS"] * (CHUNK - 41)
     assert rows[40][4] == "Eigenvalues did not converge"
     assert immerse.call_count <= 2 * int(math.log2(CHUNK)) + 1
+
+
+@pytest.mark.parametrize("u3", [(1.0, 400.0), (400.0,)])
+def test_a_mostly_failing_chunk_is_analysed_point_by_point(u3):
+    # rows alternating PASS and FAIL (u3 = 400 fails), or every row failing:
+    # halving each failing batch down to single points would cost
+    # 2 * 64 - 1 = 127 front calls; a batch of at most POINTWISE points whose
+    # halves both fail runs its points alone, 1 + 2 + 4 + 8 + 64 = 79
+    grid = [(u1, 0.7, x) for u1 in np.linspace(0.5, 1.5, CHUNK // len(u3)) for x in u3]
+    with mock.patch("paraframe.report.immerse", wraps=report.immerse) as immerse:
+        rows = [row for chunk in sweep_rows("s2", 1.0, grid, TOL) for row in chunk]
+    assert [row[3] for row in rows] == [("PASS", "FAIL")[x == 400.0] for _, _, x in grid]
+    assert {row[4] for row in rows if row[3] == "FAIL"} == {"Eigenvalues did not converge"}
+    assert immerse.call_count <= 79

@@ -412,6 +412,25 @@ def test_subprocess_byte_identical():
     assert first.stdout == second.stdout
 
 
+def test_no_command_imports_numpy_random():
+    # verify draws from the standard library's random.Random: numpy.random
+    # (with OpenSSL's hashlib and the Cython runtime) stays unloaded
+    code = """
+import contextlib, io, sys
+from paraframe.cli import main
+for argv in (["classify", "--model", "s1", "--point", "0.3,0.7,1.1"],
+             ["curvature", "--model", "s2", "--point", "0.6,1.0,0.5"],
+             ["verify", "--model", "s1", "--samples", "5"],
+             ["sweep", "--model", "s1", "--grid", "0.3,0.5:1.4:3,1.1"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0, argv
+print("numpy.random" in sys.modules)
+"""
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "False\n"
+
+
 def test_closed_stdout_exits_1_without_traceback():
     # about 160 KB of csv, more than a pipe buffer holds, so the writes after
     # the reader closes its end fail with EPIPE

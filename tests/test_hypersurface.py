@@ -1,4 +1,5 @@
 import math
+import random
 from itertools import product
 
 import mpmath
@@ -13,17 +14,20 @@ from paraframe.hypersurface import (
     EUCLIDEAN,
     LORENTZIAN,
     MODELS,
+    SAMPLE_MARGIN,
     DomainError,
     FrameCoeffs,
     Jet3,
     ModelPoint,
     PointBatch,
     bracket_field,
+    check_point,
     evaluate_immersion,
     immerse,
     induced_metric,
     orthonormal_frame,
     sample_points,
+    sample_u,
     sphere_residual,
     structure_field,
 )
@@ -103,10 +107,9 @@ def test_on_sphere_everywhere():
 def test_batched_sphere_residual_is_each_points_own(model):
     # one np.vecdot over a batch is bitwise np.dot point by point, and r**2
     # is Python's, over 10,000 radii log-uniform in [1e-3, 1e4]
-    rng = np.random.default_rng(17)
     n = 10_000
-    r = np.exp(rng.uniform(math.log(1e-3), math.log(1e4), size=n))
-    u = np.array([MODELS[model].sample(rng) for _ in range(n)])
+    r = np.exp(np.random.default_rng(17).uniform(math.log(1e-3), math.log(1e4), size=n))
+    u = sample_u(model, n, random.Random(17))
     batch = PointBatch(model, r, u)
     z = immerse(batch).value
     got = sphere_residual(batch, z)
@@ -331,6 +334,22 @@ def test_sample_points_deterministic_and_valid():
     s2 = sample_points("s2", 30, seed=42)
     signs = {p.u[0] > 0 for p in s2}
     assert signs == {True, False}
+
+
+@pytest.mark.parametrize("model", ["s1", "s2"])
+def test_every_draw_keeps_the_sample_margin(model):
+    # 100,000 draws are all in the domain and SAMPLE_MARGIN from every
+    # exclusion: s1's u1 from each multiple of pi/2, s2's u1 from 0; and s2
+    # stays in its box |u1|, |u3| <= 2.5
+    u = sample_u(model, 100_000, random.Random(2024))
+    for row in u.tolist():
+        check_point(model, 1.0, row)
+    if model == "s1":
+        margin = np.min(np.abs(u[:, 1:2] - math.pi / 2 * np.arange(5)), axis=1)
+    else:
+        margin = np.abs(u[:, 0])
+        assert np.all(np.abs(u[:, [0, 2]]) <= 2.5)
+    assert np.all(margin >= SAMPLE_MARGIN)
 
 
 def _symbolic_coords(model: str, r, u) -> list:

@@ -6,6 +6,7 @@ tested here without editing this file.
 
 import itertools
 import math
+import random
 from dataclasses import fields
 
 import numpy as np
@@ -25,8 +26,8 @@ def test_sample_points_deterministic_per_seed(model):
 
 @pytest.mark.parametrize("model", sorted(MODELS))
 def test_sample_points_from_a_generator_continue_its_stream(model):
-    # draws in pieces from one Generator are the draws of its seed at once
-    rng = np.random.default_rng(7)
+    # draws in pieces from one random.Random are the draws of its seed at once
+    rng = random.Random(7)
     pieces = sample_points(model, 5, rng) + sample_points(model, 11, rng)
     assert [p.u.tobytes() for p in pieces] == [p.u.tobytes() for p in sample_points(model, 16, 7)]
 
