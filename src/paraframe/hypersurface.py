@@ -312,11 +312,36 @@ def sphere_residual(p: ModelPoint | PointBatch, z: np.ndarray) -> float | np.nda
     return float(res) if res.ndim == 0 else res
 
 
+def positive_definite(g: np.ndarray) -> np.ndarray:
+    """Whether each symmetric 3x3 matrix g[..., :, :] is positive definite,
+    one bool per point, by Sylvester's criterion: its leading principal
+    minors D1 = g00, D2 = g00 g11 - g01 g10 and D3 = det g (cofactors along
+    row 0) are all > 0.  A NaN minor fails; a minor whose products
+    overflow is +-inf, or NaN and fails, without a warning."""
+    (g00, g01, g02), (g10, g11, g12), (g20, g21, g22) = (
+        [g[..., i, j] for j in range(DIM)] for i in range(DIM)
+    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        d2 = g00 * g11 - g01 * g10
+        d3 = g00 * (g11 * g22 - g12 * g21) - g01 * (g10 * g22 - g12 * g20) + g02 * (
+            g10 * g21 - g11 * g20
+        )
+    return (g00 > 0.0) & (d2 > 0.0) & (d3 > 0.0)
+
+
 def induced_metric(jet: Jet3, sig: AmbientSignature) -> np.ndarray:
-    """First fundamental form G[..., i, j] = <d_i z, d_j z>; must be Riemannian."""
+    """First fundamental form G[..., i, j] = <d_i z, d_j z>; must be Riemannian.
+
+    The gate is `positive_definite`, Sylvester's criterion on G's entries: a
+    few products per point.  An eigen-solver would answer the same question
+    through LAPACK, whose first call makes OpenBLAS allocate and touch its
+    work buffers (most of a megabyte of peak memory for 3x3 matrices), and
+    whose own "Eigenvalues did not converge" would stand in for "not
+    Riemannian" where G overflows.
+    """
     w = sig.weights
     g = np.einsum("...ia,a,...ja->...ij", jet.d1, w, jet.d1)
-    if np.any(np.linalg.eigvalsh(g) <= 0.0):
+    if not np.all(positive_definite(g)):
         raise ValueError("induced metric not Riemannian")
     return g
 
@@ -490,11 +515,22 @@ def structure_field(p: ModelPoint) -> StructureField:
     return bracket_field(fc)
 
 
+def seeded(seed: int) -> random.Random:
+    """Python's `random.Random(seed)` for a seed >= 0.  random.Random seeds
+    an int by its absolute value, so a negative seed would draw the stream
+    of -seed; it is rejected."""
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    return random.Random(seed)
+
+
 def sample_u(model: str, n: int, rng: random.Random) -> np.ndarray:
     """The parameters (n, 3) of n draws of the model's sampler from rng, in
     order; each draw is SAMPLE_MARGIN inside the domain by construction."""
     if model not in MODELS:
         raise ValueError(f"unknown model {model!r}")
+    if n < 0:
+        raise ValueError(f"the number of samples must be >= 0, got {n}")
     sample = MODELS[model].sample
     return np.array([sample(rng) for _ in range(n)]).reshape(n, 3)
 
@@ -502,7 +538,7 @@ def sample_u(model: str, n: int, rng: random.Random) -> np.ndarray:
 def sample_points(model: str, n: int, seed: int | random.Random,
                   r: float = 1.0) -> list[ModelPoint]:
     """Deterministic valid parameter points, n draws of the model's sampler
-    from seed: an int, whose stream is Python's `random.Random(seed)`, or a
-    `random.Random` it draws from (and so advances)."""
-    rng = seed if isinstance(seed, random.Random) else random.Random(seed)
+    from seed: an int >= 0, whose stream is Python's `random.Random(seed)`,
+    or a `random.Random` it draws from (and so advances)."""
+    rng = seed if isinstance(seed, random.Random) else seeded(seed)
     return [ModelPoint(model=model, r=r, u=u) for u in sample_u(model, n, rng)]

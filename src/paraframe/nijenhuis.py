@@ -33,7 +33,7 @@ _F_CORRECTIONS = gather_table(
 _ETA_K = gather_table(("k,...ij->...ijk", ETA, None))
 _B_TERMS = gather_table(
     ("ai,bj,...abk->...ijk", PHI, PHI, None),
-    ("...ijm,km->...ijk", None, PHI @ PHI),
+    ("...ijm,km->...ijk", None, np.einsum("kl,lm->km", PHI, PHI)),
     ("ai,...ajm,km->...ijk", PHI, None, PHI),
     ("bj,...ibm,km->...ijk", PHI, None, PHI),
 )

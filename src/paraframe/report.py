@@ -11,15 +11,14 @@ streamed a chunk at a time by `SweepText` under the same rules and bytes.
 from __future__ import annotations
 
 import functools
-import random
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 import numpy as np
 
 from . import classifier, frame, nijenhuis, tensors
-from .hypersurface import MODELS, ModelPoint, PointBatch, bracket_field, check_point
-from .hypersurface import check_radius, immerse, orthonormal_frame, sample_u, sphere_residual
+from .hypersurface import MODELS, ModelPoint, PointBatch, bracket_field, check_point, check_radius
+from .hypersurface import immerse, orthonormal_frame, sample_u, seeded, sphere_residual
 from .reference import ModelReference, model_reference
 from .structure import PHI, metric_compat
 from .tensors import DIM, max_abs
@@ -111,7 +110,7 @@ def _attempt(batch: PointBatch, tol: float) -> PointAnalysis | Exception:
         sf = bracket_field(fc)
         ref = model_reference(batch)
         # the one axiom that reads the metric, against the frame's true Gram matrix
-        gram = fc.a @ fc.metric @ np.swapaxes(fc.a, -1, -2)
+        gram = np.einsum("...ik,...kl,...jl->...ij", fc.a, fc.metric, fc.a)
         residuals = {
             "on_sphere": sphere_residual(batch, jet.value),
             "frame_gram": max_abs(gram - np.eye(DIM), 2),
@@ -325,12 +324,12 @@ def _checks(model: str, a: PointAnalysis, tol: float) -> tuple[list[str], np.nda
 
 def run_verify(model: str, r: float, samples: int, seed: int, tol: float) -> dict:
     """Evaluate every identity at seeded sample points, drawn and analysed
-    CHUNK points at a time from one `random.Random(seed)`; PASS iff all
-    within tol."""
+    CHUNK points at a time from one `random.Random(seed)` (seed >= 0);
+    PASS iff all within tol."""
     if samples < 1:
         raise ValueError("samples must be >= 1")
     check_radius(r)  # the draws are in the domain by construction
-    rng = random.Random(seed)
+    rng = seeded(seed)
     names, worst = [], np.empty(0)
     for start in range(0, samples, CHUNK):
         k = min(CHUNK, samples - start)

@@ -21,7 +21,7 @@ ETA = _frozen([1.0, 0.0, 0.0])
 def metric_compat(g) -> np.ndarray:
     """Residual of g(phi x, phi y) = g(x, y) - eta(x) eta(y) for the metric g,
     one value per point: the only axiom that reads the metric."""
-    return max_abs(PHI.T @ g @ PHI - (g - np.outer(ETA, ETA)), 2)
+    return max_abs(np.einsum("ki,...kl,lj->...ij", PHI, g, PHI) - (g - np.outer(ETA, ETA)), 2)
 
 
 def verify_axioms(g) -> dict[str, float | np.ndarray]:
@@ -32,10 +32,12 @@ def verify_axioms(g) -> dict[str, float | np.ndarray]:
     tr phi = 0,  g(phi x, phi y) = g(x, y) - eta(x) eta(y).
     """
     return {
-        "phi_squared": max_abs(PHI @ PHI - (np.eye(DIM) - np.outer(XI, ETA)), 2),
-        "eta_xi": np.abs(ETA @ XI - 1.0),
-        "eta_phi": max_abs(ETA @ PHI, 1),
-        "phi_xi": max_abs(PHI @ XI, 1),
+        "phi_squared": max_abs(
+            np.einsum("ik,kj->ij", PHI, PHI) - (np.eye(DIM) - np.outer(XI, ETA)), 2
+        ),
+        "eta_xi": np.abs(np.einsum("i,i->", ETA, XI) - 1.0),
+        "eta_phi": max_abs(np.einsum("i,ij->j", ETA, PHI), 1),
+        "phi_xi": max_abs(np.einsum("ij,j->i", PHI, XI), 1),
         "trace_phi": np.abs(np.trace(PHI)),
         "metric_compat": metric_compat(g),
     }

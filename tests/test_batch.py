@@ -400,7 +400,7 @@ def test_a_failing_point_bisects_its_chunk():
     with mock.patch("paraframe.report.immerse", wraps=report.immerse) as immerse:
         rows = [row for chunk in sweep_rows("s2", 1.0, grid, TOL) for row in chunk]
     assert [row[3] for row in rows] == ["PASS"] * 40 + ["FAIL"] + ["PASS"] * (CHUNK - 41)
-    assert rows[40][4] == "Eigenvalues did not converge"
+    assert rows[40][4] == "induced metric not Riemannian"
     assert immerse.call_count <= 2 * int(math.log2(CHUNK)) + 1
 
 
@@ -414,5 +414,5 @@ def test_a_mostly_failing_chunk_is_analysed_point_by_point(u3):
     with mock.patch("paraframe.report.immerse", wraps=report.immerse) as immerse:
         rows = [row for chunk in sweep_rows("s2", 1.0, grid, TOL) for row in chunk]
     assert [row[3] for row in rows] == [("PASS", "FAIL")[x == 400.0] for _, _, x in grid]
-    assert {row[4] for row in rows if row[3] == "FAIL"} == {"Eigenvalues did not converge"}
+    assert {row[4] for row in rows if row[3] == "FAIL"} == {"induced metric not Riemannian"}
     assert immerse.call_count <= 79

@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import json
 import math
@@ -5,6 +6,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -162,7 +164,7 @@ def test_sweep_rejects_a_non_finite_range(capsys, axis):
 #: The error of each s2 point at u = (0.5, u1, u2) whose analysis fails, by u2.
 FAILING_U2 = {
     20.0: "induced metric not Riemannian",
-    400.0: "Eigenvalues did not converge",
+    400.0: "induced metric not Riemannian",
     800.0: "math range error",  # cosh(800) overflows a float
 }
 
@@ -429,6 +431,48 @@ print("numpy.random" in sys.modules)
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert out.stdout == "False\n"
+
+
+#: numpy names whose calls reach BLAS level 2/3 or LAPACK.  np.vecdot, BLAS
+#: level-1 ddot, is the one BLAS call allowed: `sphere_residual` forms <z, z>
+#: over a batch with it, bitwise np.dot point by point, and it costs at most
+#: 0.14 MB of peak memory.
+_BLAS_NAMES = {"linalg", "dot", "matmul", "tensordot", "inner"}
+
+
+def _blas_uses(tree: ast.AST) -> list[str]:
+    """The @ operators, BLAS or LAPACK names and einsum(optimize=) calls in
+    a module, by line."""
+    uses = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            uses.append((node.lineno, "@"))
+        elif isinstance(node, ast.Attribute) and node.attr in _BLAS_NAMES:
+            uses.append((node.lineno, node.attr))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [a.name for a in node.names] + [getattr(node, "module", None) or ""]
+            uses += [(node.lineno, n) for n in names if _BLAS_NAMES & set(n.split("."))]
+        elif (isinstance(node, ast.Call) and "einsum" in ast.unparse(node.func)
+              and any(k.arg == "optimize" for k in node.keywords)):
+            uses.append((node.lineno, "einsum(optimize=)"))
+    return [f"line {line}: {what}" for line, what in sorted(uses)]
+
+
+def test_no_command_calls_blas_or_lapack():
+    # the first BLAS level-2/3 or LAPACK call makes OpenBLAS allocate and
+    # touch its work buffers, about 1.3 MB of peak memory for the 3x3
+    # products and the Riemannian gate, which need neither; einsum without
+    # optimize= runs its own loops
+    assert _blas_uses(ast.parse("a @ b; a @= b; np.linalg.eigvalsh(g); x.dot(y)\n"
+                                "from numpy.linalg import inv; import numpy.linalg\n"
+                                "np.einsum('ij,jk', a, b, optimize=True); np.vecdot(z, z)")) == [
+        "line 1: @", "line 1: @", "line 1: dot", "line 1: linalg", "line 2: numpy.linalg",
+        "line 2: numpy.linalg", "line 3: einsum(optimize=)",
+    ]
+    src = Path(report.__file__).parent
+    uses = {path.name: _blas_uses(ast.parse(path.read_text())) for path in src.glob("*.py")}
+    assert "hypersurface.py" in uses
+    assert {name: found for name, found in uses.items() if found} == {}
 
 
 def test_closed_stdout_exits_1_without_traceback():

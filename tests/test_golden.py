@@ -60,7 +60,7 @@ CHUNK_GRID = "-0.6:0.6:5,0.4:2.0:3,-1:1:3"
 EMPTY_GRID = "0.3,0.5:1:0,1.1"
 
 #: s2 grid of 3 rows whose last two points fail in the analysis, each its own
-#: way ("Eigenvalues did not converge", "math range error"): FAIL rows.
+#: way ("induced metric not Riemannian", "math range error"): FAIL rows.
 FAIL_GRID = "0.5,0.7,1:800:3"
 
 #: s1 grid of 12 x 3 x 3 rows; the middle u1 column (u1 = pi/2) is skipped.

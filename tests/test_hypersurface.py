@@ -26,6 +26,7 @@ from paraframe.hypersurface import (
     immerse,
     induced_metric,
     orthonormal_frame,
+    positive_definite,
     sample_points,
     sample_u,
     sphere_residual,
@@ -34,7 +35,7 @@ from paraframe.hypersurface import (
 from paraframe.jets import TJet, _cut, partials
 from paraframe.nijenhuis import nijenhuis_from_F
 from paraframe.reference import model_reference
-from paraframe.report import analyze_point
+from paraframe.report import analyze_point, run_verify
 from paraframe.structure import PHI
 from paraframe.tensors import contract_metric, max_abs
 
@@ -148,6 +149,41 @@ def test_induced_metric_rejects_non_riemannian():
         induced_metric(jet, LORENTZIAN)
     with pytest.raises(ValueError, match="not Riemannian"):
         orthonormal_frame(jet, LORENTZIAN)
+
+
+def _metrics(model, r, u):
+    """The induced metric at each point, formed as induced_metric forms it."""
+    jet = immerse(PointBatch(model, np.asarray(r, dtype=float), np.asarray(u, dtype=float)))
+    return np.einsum("...ia,a,...ja->...ij", jet.d1, MODELS[model].signature.weights, jet.d1)
+
+
+def test_sylvester_gate_agrees_with_eigenvalues():
+    # s2 points far enough out in u3 that the computed metric loses its
+    # positive definiteness to cancellation, as at u = (0.5, 1.0, 20)
+    rng = random.Random(25)
+    u = [(rng.choice((-1.0, 1.0)) * rng.uniform(0.1, 20.0), rng.uniform(0.0, 2.0 * math.pi),
+          rng.uniform(-30.0, 30.0)) for _ in range(4000)] + [(0.5, 1.0, 20.0)]
+    g = _metrics("s2", [rng.choice((0.5, 1.0, 2.0)) for _ in u], u)
+    gate = positive_definite(g)
+    assert np.array_equal(gate, np.all(np.linalg.eigvalsh(g) > 0.0, axis=-1))
+    assert 1000 < np.count_nonzero(gate) < 3000
+    assert not gate[-1]
+    jet = immerse(mp("s2", 1.0, [0.5, 1.0, 20.0]))
+    with pytest.raises(ValueError, match="not Riemannian"):
+        induced_metric(jet, LORENTZIAN)
+
+
+@pytest.mark.parametrize("model", sorted(MODELS))
+def test_sylvester_gate_passes_every_sampled_point(model):
+    u = sample_u(model, 2000, random.Random(8))
+    assert np.all(positive_definite(_metrics(model, np.full(len(u), 1.3), u)))
+
+
+def test_sylvester_gate_fails_a_nan_and_warns_of_no_overflow():
+    # np.errstate keeps an overflowing minor quiet, also where warnings are
+    # errors (pytest runs with filterwarnings = error)
+    g = np.array([np.eye(3), np.full((3, 3), np.nan), 1e200 * np.eye(3), -1e200 * np.eye(3)])
+    assert positive_definite(g).tolist() == [True, False, True, False]
 
 
 def test_frame_s1_quarter_turn():
@@ -334,6 +370,20 @@ def test_sample_points_deterministic_and_valid():
     s2 = sample_points("s2", 30, seed=42)
     signs = {p.u[0] > 0 for p in s2}
     assert signs == {True, False}
+
+
+def test_a_negative_seed_or_count_is_rejected():
+    # random.Random(-7) draws the stream of random.Random(7)
+    with pytest.raises(ValueError, match="seed must be >= 0, got -7"):
+        sample_points("s1", 4, -7)
+    with pytest.raises(ValueError, match="seed must be >= 0, got -7"):
+        run_verify("s1", 1.0, 8, -7, 1e-9)
+    with pytest.raises(ValueError, match="must be >= 0, got -3"):
+        sample_points("s1", -3, 5)
+    with pytest.raises(ValueError, match="must be >= 0, got -1"):
+        sample_u("s2", -1, random.Random(5))
+    assert sample_points("s1", 0, 0) == []
+    assert sample_u("s2", 0, random.Random(5)).shape == (0, 3)
 
 
 @pytest.mark.parametrize("model", ["s1", "s2"])
