@@ -106,17 +106,23 @@ class FrameCoeffs:
     """Orthonormal frame in the coordinate basis: e_i = a[..., i, k] d_k.
 
     jets is the jet of a, leading shape (..., 3, 3), valid to degree 2;
-    bracket_field differentiates it.  metric is the induced metric G the
-    frame was built against.  Leading axes index the points of a batch.
+    bracket_field differentiates it.  inverse is the jet of a^-1, of the
+    same shape and degree: d_m = inverse[..., m, k] e_k.  metric is the
+    induced metric G the frame was built against.  Leading axes index the
+    points of a batch.
 
-    a is lower triangular, as Gram-Schmidt on the coordinate basis makes
-    it (the inverse Cholesky factor of G, up to the sign of each row):
-    a[..., i, k] and every coefficient of its jet are exactly zero for
-    k > i.  bracket_field relies on this and rejects a frame without it.
+    a is the inverse Cholesky factor of G up to the sign of each row: with
+    G = L L^T, L lower triangular and positive on its diagonal, a = S L^-1
+    and a^-1 = L S, where S = diag(+-1) holds the row signs.  Gram-Schmidt
+    on the coordinate basis gives the same frame, since QR with a positive
+    diagonal is unique.  So a, a^-1 and every coefficient of their jets
+    are exactly zero above the diagonal; bracket_field relies on this and
+    rejects a frame without it.
     """
 
     a: np.ndarray
     jets: TJet
+    inverse: TJet
     metric: np.ndarray
 
 
@@ -346,93 +352,80 @@ def induced_metric(jet: Jet3, sig: AmbientSignature) -> np.ndarray:
     return g
 
 
-#: The index pairs (l, m) with l <= m in row-major order, the pair index
-#: of each (l, m) in either order, and the pairs i < j.
+#: The index pairs (l, m) with l <= m in row-major order, and the pairs i < j.
 _PAIR_L, _PAIR_M = np.array([0, 0, 0, 1, 1, 2]), np.array([0, 1, 2, 1, 2, 2])
-_PAIR = np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]])
 _UPPER_I, _UPPER_J = np.array([0, 0, 1]), np.array([1, 2, 2])
+_DIAG = np.arange(DIM)
 
 
-def _concat(jets: list[TJet], axis: int = -1) -> TJet:
-    """Jets of one degree side by side along an existing leading axis."""
-    return TJet(np.concatenate([j.c for j in jets], axis=axis - 1), jets[0].deg)
-
-
-def _gs_inner(low: TJet | None, g: TJet, i: int, y: TJet | None) -> TJet:
-    """<w, y>, the sum over (l, m) of w[l] g[l, m] y[m] in row-major order,
-    over the nonzero terms only.
-
-    w is row i during Gram-Schmidt: the components `low` (0, 1, ...; none
-    if None) and the constant 1 at i, whose terms w[i] g[i, m] are g[i, m]
-    itself.  y is a finished row, components 0..k, or None for w itself,
-    whose constant 1 at m = i ends each row of terms unmultiplied.
-    """
-    ncols = i + 1 if y is None else y.shape[-1]
-    x = TJet(g.c[..., i : i + 1, :ncols, :], g.deg)  # [..., l, m] = w[l] g[l, m]
-    if low is not None:
-        x = _concat([low[..., :, None] * g[..., : low.shape[-1], :ncols], x], axis=-2)
-    if y is not None:
-        return (x * y[..., None, :]).sum(2)
-    if low is not None:
-        x = _concat([x[..., :i] * low[..., None, :], x[..., i:]])
-    return x.sum(2)
+def _pivot(p: TJet) -> TJet:
+    """p^(-1/2) for a Cholesky pivot p, which must exceed 1e-24 at every point."""
+    if np.any(p.value <= 1e-24):
+        raise ValueError("degenerate tangent vectors: cannot orthonormalize")
+    return p.rsqrt()
 
 
 def orthonormal_frame(jet: Jet3, sig: AmbientSignature) -> FrameCoeffs:
-    """Gram-Schmidt frame coefficients, with their jets and the induced metric.
+    """Frame coefficients as the inverse Cholesky factor of the metric jet,
+    with their jets, the jets of their inverse and the induced metric.
 
     The tangent jets d z^a / d u^i are the coordinate jets differentiated
-    once, valid to degree 2.  Orthonormalization runs in jet arithmetic on
-    the identity coefficient rows, so the coefficient jets fall out of the
-    same computation that produces a.  Every point of a batched jet goes
-    through each step in one array operation over (point, row, column);
-    the metric jets are formed for l <= m and mirrored, and every sum runs
-    in its index order, so each point's frame is bitwise the frame computed
-    for that point alone.
+    once, valid to degree 2, and their products give the metric jets
+    g[l, m] for l <= m.  One pass over these scalar jets factors
+    G = L L^T, each pivot's p^(-1/2) = 1 / L_kk one `rsqrt` composition;
+    forward substitution then gives a = L^-1, whose row i is Gram-Schmidt's
+    e_i.  Every point of a batched jet goes through each step in one array
+    operation, and every product and sum runs in the same order at every
+    point, so each point's frame is bitwise the frame computed for that
+    point alone.
 
-    The frame is lower triangular: row i starts as the coordinate row e_i
-    and only subtracts multiples of the rows before it, so its components
-    above i stay exactly zero and component i stays exactly 1 until the row
-    is normalized.  Each step therefore forms only the products of nonzero
-    components, and a product by the unit component is its other factor.
-    Every skipped product is an exact zero, and every sum starts from +0.0,
-    so no partial sum is -0.0 and adding +-0.0 to it changes no bit; a
-    product by the unit is exact because no operand carries a -0.0
-    coefficient.  So each coefficient is bitwise that of Gram-Schmidt over
-    every entry (for finite jets).
+    Only the nonzero entries of the triangular factors are formed; the
+    entries above the diagonal are exact zeros.  Each row of a is then
+    flipped so that its leading coefficient is positive, and the matching
+    column of the inverse L with it.
     """
     metric = induced_metric(jet, sig)  # also the positive-definiteness gate
     tangent = TJet.stack([jet.coords.deriv(i) for i in range(DIM)], axis=-2)  # [..., i, a]
     pairs = tangent[..., _PAIR_L, :] * tangent[..., _PAIR_M, :] * sig.weights
-    g = pairs.sum()[..., _PAIR]  # [..., l, m]
+    g = pairs.sum()  # [..., pair]: g00, g01, g02, g11, g12, g22
 
-    rows: list[TJet] = []  # row k: components 0..k
-    for i in range(DIM):
-        low = None  # components 0..k-1 of row i before projection k; w[i] = 1
-        for prev in rows:
-            # w -= <w, prev> prev; component k of w was zero
-            q = _gs_inner(low, g, i, prev)[..., None] * prev
-            low = 0.0 - q if low is None else _concat([low - q[..., :-1], 0.0 - q[..., -1:]])
-        n2 = _gs_inner(low, g, i, None)
-        if np.any(n2.value <= 1e-24):
-            raise ValueError("degenerate tangent vectors: cannot orthonormalize")
-        s = n2.sqrt().reciprocal()[..., None]
-        rows.append(s if low is None else _concat([low * s, s]))
+    # G = L L^T column by column, with s_k = 1 / L_kk; c is a and inv is L
+    c = np.zeros(g.shape[:-1] + (DIM, DIM, g.c.shape[-1]))
+    inv = np.zeros_like(c)
+    s0 = _pivot(g[..., 0])
+    col0 = g[..., 1:3] * s0[..., None]  # L10, L20
+    sq = col0[..., [0, 1, 1]] * col0[..., [0, 0, 1]]  # L10 L10, L20 L10, L20 L20
+    p1 = g[..., 3] - sq[..., 0]
+    s1 = _pivot(p1)
+    l21 = (g[..., 4] - sq[..., 1]) * s1
+    p2 = (g[..., 5] - sq[..., 2]) - l21 * l21
+    s2 = _pivot(p2)
+    # the pivots p_k on inv's diagonal and the s_k on c's, so that one
+    # product makes L_kk = p_k s_k
+    for k, (p, sk) in enumerate(((g[..., 0], s0), (p1, s1), (p2, s2))):
+        inv[..., k, k, :], c[..., k, k, :] = p.c, sk.c
+    diag = TJet(inv[..., _DIAG, _DIAG, :], s0.deg) * TJet(c[..., _DIAG, _DIAG, :], s0.deg)
+    inv[..., _DIAG, _DIAG, :] = diag.c
+    inv[..., 1:, 0, :] = col0.c
+    inv[..., 2, 1, :] = l21.c
 
-    c = np.zeros(rows[-1].c.shape[:-2] + (DIM, DIM, rows[-1].c.shape[-1]))
-    for i, row in enumerate(rows):
-        c[..., i, : i + 1, :] = row.c
+    # a = L^-1: a_kk = s_k and a_ik = -s_i sum_{k <= j < i} L_ij a_jk
+    m0 = col0 * s0[..., None]  # L10 a00, L20 a00
+    c[..., 1, 0, :] = (-m0[..., 0] * s1).c
+    t = l21[..., None] * TJet(c[..., 1, :2, :], s0.deg)  # L21 a10, L21 a11
+    t.c[..., 0, :] += m0.c[..., 1, :]  # L20 a00 + L21 a10
+    c[..., 2, :2, :] = (-t * s2[..., None]).c  # a20, a21
+
     # flip each row so its leading coefficient is positive; for s1 this
-    # equals the quadrant sign factors sgn(sin u1), sgn(cos u1).  A flipped
-    # row only negates the projections onto it in later rows, exactly, so
-    # flipping after Gram-Schmidt gives the same bits as flipping in it.
+    # equals the quadrant sign factors sgn(sin u1), sgn(cos u1)
     a = c[..., 0]
     v = np.abs(a)
     big = v > 1e-9 * np.max(v, axis=-1, keepdims=True)
     lead = np.take_along_axis(a, np.argmax(big, axis=-1)[..., None], -1)[..., 0]
     flip = np.any(big, axis=-1) & (lead < 0.0)
-    jets = TJet(np.where(flip[..., None, None], -c, c), rows[-1].deg)
-    return FrameCoeffs(a=partials(jets, 0), jets=jets, metric=metric)
+    jets = TJet(np.where(flip[..., None, None], -c, c), s0.deg)
+    inverse = TJet(np.where(flip[..., None, :, None], -inv, inv), s0.deg)
+    return FrameCoeffs(a=partials(jets, 0), jets=jets, inverse=inverse, metric=metric)
 
 
 #: The nonzero terms of the bracket sums b[pair, m]: a[i, l] d_l a[j, m] with
@@ -454,28 +447,25 @@ _BRACKET_TERMS = np.array([
 def bracket_field(fc: FrameCoeffs) -> StructureField:
     """Bracket coefficients of a frame, with their frame derivatives.
 
-    [e_i, e_j] = (a[i, l] d_l a[j, m] - a[j, l] d_l a[i, m]) d_m, converted
-    to frame components by a Cramer solve against the coefficient matrix.
-    The products read only degree <= 1 of the frame jets and of their
-    derivatives, so degree-2 frame jets give dc exactly, and every product
-    here runs at degree 1.  A batched frame gives batched fields; the three
-    pairs i < j and the three Cramer columns are solved in one pass.
+    [e_i, e_j] = B_ij^m d_m with B_ij^m = a[i, l] d_l a[j, m] - a[j, l]
+    d_l a[i, m], and d_m = a^-1[m, k] e_k, so the frame components are
+    C_ij^k = sum_m B_ij^m a^-1[m, k].  The products read only degree <= 1
+    of the frame jets and of their derivatives, so degree-2 frame jets give
+    dc exactly, and every product here runs at degree 1.  A batched frame
+    gives batched fields; the three pairs i < j are solved in one pass.
 
-    The frame must be lower triangular, as `orthonormal_frame` makes it:
-    a[..., i, m] and its jet are exactly zero for m > i.  So only the 22
-    nonzero products of the 54 in the sums above are formed, and added in
-    their order from +0.0 (x - y is x + (-y)); and the Cramer determinants
-    of the upper-triangular a^T keep only their nonzero cofactor terms, in
-    the order of the cofactor expansion along the first row.  The skipped
-    terms are exact zeros, so every coefficient is bitwise that of the
-    dense sums and determinants (for finite jets).
+    The frame and its inverse must be lower triangular, as
+    `orthonormal_frame` makes them: a[..., i, m], a^-1[..., i, m] and their
+    jets are exactly zero for m > i.  So only the 22 nonzero products of
+    the 54 in the sums B above are formed, and added in their order from
+    +0.0 (x - y is x + (-y)); and C takes the 6 products with m >= k,
+    added in the order of m.
     """
     aj = fc.jets
     if aj.deg < 2:
         raise ValueError(f"frame jets must be valid to degree 2, got {aj.deg}")
-    if np.any(fc.a[..., _UPPER_I, _UPPER_J] != 0.0) or np.any(
-        aj.c[..., _UPPER_I, _UPPER_J, :] != 0.0
-    ):
+    coeffs = (fc.a[..., None], aj.c, fc.inverse.c)  # each with a coefficient axis last
+    if any((x[..., _UPPER_I, _UPPER_J, :] != 0.0).any() for x in coeffs):
         raise ValueError("frame coefficients must be lower triangular")
     daj = TJet.stack([aj.deriv(l) for l in range(DIM)], axis=-2)  # [..., i, l, m] = d_l a[i, m]
     left, right, l, m, sign, target = _BRACKET_TERMS.T
@@ -483,25 +473,16 @@ def bracket_field(fc: FrameCoeffs) -> StructureField:
     # b[..., pair, m] = sum_l a[i, l] d_l a[j, m] - a[j, l] d_l a[i, m]
     b = scatter_add(terms.c * sign[:, None], target, DIM * DIM)
     b = TJet(b.reshape(b.shape[:-2] + (DIM, DIM, b.shape[-1])), 1)
-    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]  # [..., pair]
 
-    # frame components: sum_k C_ij^k a[k, m] = B_ij^m, by Cramer's rule on
-    # the upper-triangular u = a^T, u[m, k] = a[k, m]
-    u = TJet(_cut(aj.c, 1), 1)
-    u00, u01, u02, u11, u12, u22 = (
-        u[..., k, m, None] for k, m in ((0, 0), (1, 0), (2, 0), (1, 1), (2, 1), (2, 2))
-    )
-    m0 = u11 * u22
-    inv_det = (u00 * m0).reciprocal()
-    m1 = b1 * u22 - u12 * b2
-    ub2 = u11 * b2
-    columns = [(b0 * m0 - u01 * m1) + u02 * (0.0 - ub2), u00 * m1, u00 * ub2]
-    solved = TJet.stack(columns, axis=-1) * inv_det[..., None]  # [..., pair, k]
+    # C[..., pair, k] = sum over m >= k of b[..., pair, m] a^-1[m, k]: the
+    # terms (k, m) = (_PAIR_L, _PAIR_M), in the order of m for each k
+    inv = TJet(_cut(fc.inverse.c, 1)[..., None, _PAIR_M, _PAIR_L, :], 1)
+    solved = scatter_add((b[..., _PAIR_M] * inv).c, _PAIR_L, DIM)  # [..., pair, k]
 
-    c_jets = np.zeros(solved.c.shape[:-3] + (DIM,) * 3 + solved.c.shape[-1:])
-    c_jets[..., _UPPER_I, _UPPER_J, :, :] = solved.c
-    c_jets[..., _UPPER_J, _UPPER_I, :, :] = -solved.c
-    c_jets = TJet(c_jets, solved.deg)
+    c_jets = np.zeros(solved.shape[:-3] + (DIM,) * 3 + solved.shape[-1:])
+    c_jets[..., _UPPER_I, _UPPER_J, :, :] = solved
+    c_jets[..., _UPPER_J, _UPPER_I, :, :] = -solved
+    c_jets = TJet(c_jets, 1)
     c = partials(c_jets, 0)
     dcoord = partials(c_jets, 1)  # dcoord[m, ..., i, j, k] = d_m C_ij^k
     dc = np.einsum("...lm,m...ijk->...lijk", fc.a, dcoord)

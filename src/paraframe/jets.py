@@ -40,12 +40,12 @@ coefficient that is kept.  `sum` adds along axes in the same sequential
 order.
 
 Smooth functions compose through the powers h, ..., h^deg of a jet's
-nilpotent part, and `sqrt` and `reciprocal` take only the derivatives that
-degree reads.  `sincos` and `sinhcosh` share those powers between the two
-functions and return both, stacked on a new leading axis; `sin`, `cos`,
-`sinh` and `cosh` are their slices.  Values of sin, cos, sinh, cosh and
-integer powers are taken per element with Python's `math`, as for a single
-jet.
+nilpotent part, and `sqrt`, `rsqrt` and `reciprocal` take only the
+derivatives that degree reads.  `sincos` and `sinhcosh` share those powers
+between the two functions and return both, stacked on a new leading axis;
+`sin`, `cos`, `sinh` and `cosh` are their slices.  Values of sin, cos,
+sinh, cosh and integer powers are taken per element with Python's `math`,
+as for a single jet.
 """
 
 from __future__ import annotations
@@ -394,6 +394,8 @@ class TJet:
         return self.sinhcosh()[1]
 
     def sqrt(self) -> "TJet":
+        """x^(1/2); the frame takes `rsqrt`, and this stays for jet evaluators
+        of custom immersions."""
         v = self.value
         bad = v <= 0.0
         if np.any(bad):
@@ -404,6 +406,22 @@ class TJet:
             d.append(-0.25 / (r * v))
         if self.deg >= 3:
             d.append(0.375 / (r * v * v))
+        return self._compose(d)
+
+    def rsqrt(self) -> "TJet":
+        """x^(-1/2) in one composition: s = 1 / sqrt(x), with the derivatives
+        -s / (2x), 3s / (4x^2) and -15s / (8x^3), each from s / x."""
+        v = self.value
+        bad = v <= 0.0
+        if np.any(bad):
+            raise ValueError(f"jet rsqrt needs a positive value, got {float(v[bad][0])}")
+        s = 1.0 / np.sqrt(v)
+        sv = s / v
+        d = [s, -0.5 * sv]  # the derivatives the jet's degree reads
+        if self.deg >= 2:
+            d.append(0.75 * sv / v)
+        if self.deg >= 3:
+            d.append(-1.875 * sv / (v * v))
         return self._compose(d)
 
     def reciprocal(self) -> "TJet":

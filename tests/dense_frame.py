@@ -1,10 +1,13 @@
 """Dense reference for the jet front: Gram-Schmidt and the Cramer solve over
 every entry of the 3x3 frame, zeros and units included.
 
-`hypersurface.orthonormal_frame` and `hypersurface.bracket_field` skip the
-entries of the lower-triangular frame that are exactly zero or one; these
-are the same computations without the skips, so the two must agree bit for
-bit.  `det3` is also the jet determinant for tests that need one.
+`hypersurface.orthonormal_frame` factors the metric jet by Cholesky and
+`hypersurface.bracket_field` solves the brackets with that factor, forming
+only the nonzero entries of the triangular factors.  These are the textbook
+computations of the same frame and brackets by another route, so the two
+agree up to rounding, not bit for bit.  The dense inverse is G a^T, which
+is a^-1 because a G a^T = 1.  `det3` is also the jet determinant for tests
+that need one.
 """
 
 from __future__ import annotations
@@ -13,7 +16,6 @@ import numpy as np
 
 from paraframe.frame import StructureField
 from paraframe.hypersurface import (
-    _PAIR,
     _PAIR_L,
     _PAIR_M,
     _UPPER_I,
@@ -25,6 +27,10 @@ from paraframe.hypersurface import (
 )
 from paraframe.jets import TJet, _cut, partials
 from paraframe.tensors import DIM
+
+#: The pair index of each (l, m) in either order: g[..., _PAIR] is the
+#: symmetric matrix of the metric jets formed for l <= m.
+_PAIR = np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]])
 
 
 def dense_orthonormal_frame(jet: Jet3, sig: AmbientSignature) -> FrameCoeffs:
@@ -55,7 +61,9 @@ def dense_orthonormal_frame(jet: Jet3, sig: AmbientSignature) -> FrameCoeffs:
     lead = np.take_along_axis(a, np.argmax(big, axis=-1)[..., None], -1)[..., 0]
     flip = np.any(big, axis=-1) & (lead < 0.0)
     jets = TJet(np.where(flip[..., None, None], -jets.c, jets.c), jets.deg)
-    return FrameCoeffs(a=partials(jets, 0), jets=jets, metric=metric)
+    # inverse[m, k] = sum_l g[m, l] a[k, l]
+    inverse = (gj[..., :, None, :] * jets[..., None, :, :]).sum()
+    return FrameCoeffs(a=partials(jets, 0), jets=jets, inverse=inverse, metric=metric)
 
 
 def det3(q: TJet) -> TJet:

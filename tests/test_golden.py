@@ -9,11 +9,19 @@ reach.  The files pin the output contract across refactors; rewrite them
 only for an intended output change, with
 
     PYTHONPATH=src python tests/test_golden.py --write
+
+after checking what the change does to them, without writing, with
+
+    PYTHONPATH=src python tests/test_golden.py --drift
+
+which prints per file whether it is unchanged, changed only in its numbers,
+or changed in its text, and the largest relative change of its numbers.
 """
 
 import contextlib
 import io
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -331,17 +339,46 @@ def test_pipeline_golden():
     assert pipeline_text().splitlines() == golden
 
 
+def regenerated() -> dict[str, bytes]:
+    """Every golden file's bytes as the code now writes them, by file name."""
+    files, codes = {}, {}
+    for name, argv in sorted(CASES.items()):
+        codes[name], files[f"{name}.stdout"] = run(argv)
+    files["exit_codes.json"] = (json.dumps(codes, indent=2, sort_keys=True) + "\n").encode()
+    files["pipeline.txt"] = pipeline_text().encode()
+    return files
+
+
 def write() -> None:
     GOLDEN.mkdir(exist_ok=True)
-    codes = {}
-    for name, argv in sorted(CASES.items()):
-        codes[name], out = run(argv)
-        (GOLDEN / f"{name}.stdout").write_bytes(out)
-    (GOLDEN / "exit_codes.json").write_text(json.dumps(codes, indent=2, sort_keys=True) + "\n")
-    (GOLDEN / "pipeline.txt").write_text(pipeline_text())
+    for name, data in regenerated().items():
+        (GOLDEN / name).write_bytes(data)
+
+
+#: A number in a golden file; digits inside a name (F11, u0, R_0101) are not.
+NUMBER = re.compile(r"(?<![\w.])-?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+
+
+def drift() -> None:
+    """Print, for each golden file regenerated in memory, whether its bytes
+    equal the stored ones ("same"), equal them once every number is masked
+    ("numbers"), or differ in text ("TEXT"), and the largest relative change
+    of a stored number of magnitude above 1e-6.  Nothing is written."""
+    for name, data in regenerated().items():
+        old, new = (GOLDEN / name).read_text(), data.decode()
+        if old == new:
+            print(f"{name}: same")
+            continue
+        if NUMBER.sub("#", old) != NUMBER.sub("#", new):
+            print(f"{name}: TEXT")
+            continue
+        pairs = zip(map(float, NUMBER.findall(old)), map(float, NUMBER.findall(new)))
+        worst = max((abs(y - x) / abs(x) for x, y in pairs if abs(x) > 1e-6), default=0.0)
+        print(f"{name}: numbers, largest relative drift {worst:.3g}")
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--write"]:
-        sys.exit("usage: test_golden.py --write")
-    write()
+    modes = {"--write": write, "--drift": drift}
+    if len(sys.argv) != 2 or sys.argv[1] not in modes:
+        sys.exit("usage: test_golden.py --write | --drift")
+    modes[sys.argv[1]]()

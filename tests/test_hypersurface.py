@@ -272,23 +272,27 @@ def test_bracket_field_rejects_frame_jets_below_degree_2():
     # dc needs the frame jets to degree 2; cut to degree 1 it came out wrong by 5.0
     p = mp("s1", 1.0, [0.3, 0.7, 1.1])
     fc = orthonormal_frame(immerse(p), p.spec.signature)
-    low = FrameCoeffs(a=fc.a, jets=TJet(_cut(fc.jets.c, 1), 1), metric=fc.metric)
+    low = FrameCoeffs(a=fc.a, jets=TJet(_cut(fc.jets.c, 1), 1), inverse=fc.inverse,
+                      metric=fc.metric)
     with pytest.raises(ValueError, match="valid to degree 2"):
         bracket_field(low)
 
 
 @pytest.mark.parametrize("coeff", [0, 3, 9])
 def test_bracket_field_rejects_a_frame_not_lower_triangular(coeff):
-    # the triangular Cramer solve would return a wrong field for such a frame
+    # the triangular sums would return a wrong field for such a frame or inverse
     p = mp("s1", 1.0, [0.3, 0.7, 1.1])
     fc = orthonormal_frame(immerse(p), p.spec.signature)
     jets = fc.jets.c.copy()
     jets[1, 2, coeff] = 1e-300
     a = fc.a.copy()
     a[0, 1] = 1e-300
+    inverse = fc.inverse.c.copy()
+    inverse[0, 2, coeff] = 1e-300
     for bad in (
-        FrameCoeffs(a=fc.a, jets=TJet(jets, fc.jets.deg), metric=fc.metric),
-        FrameCoeffs(a=a, jets=fc.jets, metric=fc.metric),
+        FrameCoeffs(a=fc.a, jets=TJet(jets, fc.jets.deg), inverse=fc.inverse, metric=fc.metric),
+        FrameCoeffs(a=a, jets=fc.jets, inverse=fc.inverse, metric=fc.metric),
+        FrameCoeffs(a=fc.a, jets=fc.jets, inverse=TJet(inverse, fc.inverse.deg), metric=fc.metric),
     ):
         with pytest.raises(ValueError, match="lower triangular"):
             bracket_field(bad)

@@ -67,6 +67,7 @@ def test_division_and_sqrt():
     r = (u * u).sqrt()
     assert np.allclose(r.c, u.c, atol=1e-15)
     inv = 1.0 / u
+    assert np.allclose((u * u).rsqrt().c, inv.c, atol=1e-15)  # (u^2)^(-1/2) = 1/u
     assert inv.value == pytest.approx(0.5)
     assert partials(inv, 1)[0] == pytest.approx(-0.25)
     assert partials(inv, 2)[0, 0] == pytest.approx(0.25)
@@ -85,6 +86,9 @@ def test_domain_errors():
     u = TJet.variable(0, -1.0)
     with pytest.raises(ValueError):
         u.sqrt()
+    for value in (0.0, -1.0, [4.0, -0.0]):
+        with pytest.raises(ValueError, match="rsqrt needs a positive value"):
+            TJet.variable(0, value).rsqrt()
     with pytest.raises(ZeroDivisionError):
         TJet.constant(0.0).reciprocal()
 
@@ -136,14 +140,16 @@ def _every_power(x: TJet, d: list[np.ndarray]) -> TJet:
 @pytest.mark.parametrize("deg", [0, 1, 2, 3])
 @pytest.mark.parametrize("shape", [(), (5,), (2, 3)])
 def test_compositions_stop_at_their_degree(monkeypatch, shape, deg):
-    # sqrt and reciprocal form only the powers and derivatives their degree
-    # reads, bitwise the composition through h^3; the per-element x**3 and
-    # x**4 passes run only at degrees 2 and 3
+    # sqrt, rsqrt and reciprocal form only the powers and derivatives their
+    # degree reads, bitwise the composition through h^3; the per-element x**3
+    # and x**4 passes run only at degrees 2 and 3
     x = _random_jet(30 + deg, shape, deg)
     x.c[..., 0] = np.abs(x.c[..., 0]) + 0.5
     x.c[..., 1:] = np.where(x.c[..., 1:] > 1.0, -0.0, x.c[..., 1:])
     v = x.value
     r, iv = np.sqrt(v), 1.0 / v
+    s = 1.0 / r
+    sv = s / v  # -s/(2v), 3s/(4v^2) and -15s/(8v^3) are multiples of s/v
     cube, fourth = _elementwise(lambda t: t**3, iv), _elementwise(lambda t: t**4, iv)
     passes = []
 
@@ -154,6 +160,7 @@ def test_compositions_stop_at_their_degree(monkeypatch, shape, deg):
     monkeypatch.setattr(jets, "_elementwise", counted)
     for got, d in (
         (x.sqrt(), [r, 0.5 / r, -0.25 / (r * v), 0.375 / (r * v * v)]),
+        (x.rsqrt(), [s, -0.5 * sv, 0.75 * sv / v, -1.875 * sv / (v * v)]),
         (x.reciprocal(), [iv, -iv * iv, 2.0 * cube, -6.0 * fourth]),
     ):
         want = _every_power(x, d)
